@@ -12,27 +12,24 @@
 //!   `results/baseline.json` tolerance bands and exit non-zero on any
 //!   out-of-band regression (the perf gate `scripts/verify.sh` runs);
 //! * `--write-baseline` — re-pin `results/baseline.json` from this run
-//!   (do this deliberately, and review the diff).
+//!   (do this deliberately, and review the diff);
+//! * `--out DIR` — the tree to read and write `results/` and
+//!   `BENCH_contory.json` in (default: the current directory, which
+//!   `scripts/bench.sh` and `scripts/verify.sh` set to the repo root).
+//!   Never the build's source tree: a binary copied elsewhere must not
+//!   overwrite the checkout it was built from.
 //!
 //! Everything is seed-driven and sim-clock-only: two runs write
 //! byte-identical files.
 
 use benchkit::Baseline;
-use std::path::{Path, PathBuf};
-
-fn repo_root() -> PathBuf {
-    // crates/bench -> crates -> repo root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .canonicalize()
-        .expect("repo root resolvable")
-}
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let write_baseline = args.iter().any(|a| a == "--write-baseline");
+    let mut root = PathBuf::from(".");
     // `--shards N`: partition count for the scale_city, broker_load and
     // broker_chaos runs. Outputs are shard-invariant by the engine's
     // contract; only wall-clock moves.
@@ -52,13 +49,19 @@ fn main() {
             contory_bench::scenarios::scale_city::set_shards(n);
             contory_bench::scenarios::broker_load::set_shards(n);
             contory_bench::scenarios::broker_chaos::set_shards(n);
+        } else if a == "--out" {
+            root = rest.next().map(PathBuf::from).unwrap_or_else(|| {
+                eprintln!("--out needs a directory");
+                std::process::exit(2);
+            });
         } else {
-            eprintln!("unknown flag '{a}' (known: --check, --write-baseline, --shards N)");
+            eprintln!(
+                "unknown flag '{a}' (known: --check, --write-baseline, --shards N, --out DIR)"
+            );
             std::process::exit(2);
         }
     }
 
-    let root = repo_root();
     let results_dir = root.join("results");
     std::fs::create_dir_all(&results_dir).expect("results/ creatable");
 

@@ -31,6 +31,7 @@ use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, NodeConfi
 use contory::vocab::Interner;
 use tracekit::{assemble, Breakup, Stage};
 use simkit::faults::FaultPlan;
+use simkit::hash::mix64;
 use simkit::shard::ShardConfig;
 use simkit::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -67,13 +68,6 @@ const CMP_BATCH: usize = 100_000;
 /// Batch repetitions (total comparisons = `CMP_BATCH * CMP_ROUNDS`).
 const CMP_ROUNDS: usize = 40;
 
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The big fleet's configuration: offered load ~4x the drain capacity of
 /// the four bounded broker inboxes, so backpressure sheds deterministically.
 fn big_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
@@ -109,7 +103,7 @@ fn intern_microbench(seed: u64) -> (f64, f64, u64, u64) {
     let mut s = seed;
     let pairs: Vec<(usize, usize)> = (0..CMP_BATCH)
         .map(|i| {
-            s = mix(s ^ i as u64);
+            s = mix64(s ^ i as u64);
             let a = (s % 64) as usize;
             let b = ((s >> 16) % 64) as usize;
             (a, b)

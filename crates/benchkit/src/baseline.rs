@@ -17,9 +17,9 @@
 //! and obs gates: out-of-band means the gate fails loudly, in-band
 //! means the perf trajectory is still inside what the repo promised.
 
-use crate::json::Json;
 use crate::measure::Unit;
 use crate::report::Report;
+use simkit::json::Json;
 
 /// Schema tag stamped into `results/baseline.json`.
 pub const BASELINE_SCHEMA: &str = "contory-bench-baseline/1";

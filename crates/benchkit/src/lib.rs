@@ -29,20 +29,18 @@
 //! renders from ordered containers — two same-seed `bench_all` runs
 //! write byte-identical `BENCH_contory.json` files (asserted by the
 //! determinism suite). The crate is dependency-free beyond `simkit` and
-//! `obskit`; JSON comes from the hand-rolled [`json`] module because the
-//! build environment is offline.
+//! `obskit`; JSON comes from [`simkit::json`], the workspace's one
+//! hand-rolled codec (the build environment is offline).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod json;
 pub mod measure;
 pub mod report;
 pub mod scenario;
 
 pub use baseline::{Baseline, BaselineMetric, Violation, BASELINE_SCHEMA};
-pub use json::Json;
 pub use measure::{Measurement, Unit};
 pub use report::{render_measurement_table, Report, ScenarioReport, SCHEMA};
 pub use scenario::{run_scenario, Check, RunCtx, Scenario};

@@ -7,7 +7,7 @@
 //! paper reports one, and the regression-gate tolerances the baseline
 //! checker applies (see `baseline.rs`).
 
-use crate::json::Json;
+use simkit::json::Json;
 use simkit::stats::Summary;
 
 /// Closed unit vocabulary for measurements. The golden schema test

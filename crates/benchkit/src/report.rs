@@ -7,9 +7,9 @@
 //! `EXPERIMENTS.md` and the code's actual measurements is what this
 //! module exists to end.
 
-use crate::json::Json;
 use crate::measure::Measurement;
 use crate::scenario::Check;
+use simkit::json::Json;
 use std::fmt::Write as _;
 
 /// Schema tag stamped into `BENCH_contory.json`.
@@ -84,7 +84,7 @@ impl ScenarioReport {
                     self.name,
                     c.id,
                     c.label,
-                    crate::json::fmt_f64(c.value),
+                    simkit::json::fmt_f64(c.value),
                     c.band_text()
                 )
             })
@@ -145,7 +145,7 @@ impl ScenarioReport {
                     if c.pass { "PASS" } else { "FAIL" },
                     c.label,
                     c.id,
-                    crate::json::fmt_f64(c.value),
+                    simkit::json::fmt_f64(c.value),
                     c.band_text()
                 );
             }
@@ -157,11 +157,12 @@ impl ScenarioReport {
             }
         }
         if !self.obs_phases.is_empty() || self.obs_span_count > 0 {
-            let _ = writeln!(
-                out,
-                "\nobskit: {} spans; phase totals (ms):",
-                self.obs_span_count
-            );
+            let header = if self.obs_phases.is_empty() {
+                ""
+            } else {
+                "; phase totals (ms):"
+            };
+            let _ = writeln!(out, "\nobskit: {} spans{header}", self.obs_span_count);
             for (name, ms) in &self.obs_phases {
                 let _ = writeln!(out, "  {name:<14} {ms:>12.3}");
             }
@@ -287,6 +288,18 @@ mod tests {
         assert_eq!(j.get("seed").and_then(Json::as_f64), Some(42.0));
         assert_eq!(j.get("measurements").and_then(Json::as_arr).unwrap().len(), 1);
         assert_eq!(j.get("checks").and_then(Json::as_arr).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn phase_header_only_with_phase_totals() {
+        let mut r = toy_report();
+        r.obs_span_count = 7;
+        let text = r.render_text();
+        assert!(text.contains("\nobskit: 7 spans\n"), "{text}");
+        assert!(!text.contains("phase totals"), "{text}");
+        r.obs_phases.push(("transfer".into(), 1.5));
+        let text = r.render_text();
+        assert!(text.contains("obskit: 7 spans; phase totals (ms):\n  transfer"), "{text}");
     }
 
     #[test]

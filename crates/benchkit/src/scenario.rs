@@ -8,10 +8,10 @@
 //! histograms, spans — is captured into the scenario's report next to
 //! the typed measurements the scenario pushes explicitly.
 
-use crate::json::Json;
 use crate::measure::{Measurement, Unit};
 use crate::report::ScenarioReport;
 use obskit::{Obs, Phase};
+use simkit::json::Json;
 
 /// One §6 regenerator behind a common harness interface.
 pub trait Scenario {

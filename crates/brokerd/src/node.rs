@@ -26,6 +26,7 @@ use crate::federation::{LoadDigest, PeerView};
 use crate::packet::{BrokerId, ContextPacket, MAX_HOPS};
 use crate::table::{SubId, SubMode, SubscriptionTable, SweepStats};
 use contory::vocab::{Interner, Sym};
+use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
 use simkit::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tracekit::{Stage, TraceCtx, TraceLog};
@@ -99,14 +100,6 @@ struct PendingFwd {
     packet: ContextPacket,
     attempts_used: u32,
     next_retry: SimTime,
-}
-
-/// Deterministic 64-bit mixer for retry jitter (no RNG in the core).
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A side effect the harness must carry out.
@@ -625,7 +618,8 @@ impl BrokerNode {
             self.obs_hop(p.packet.trace, Stage::Retry, sp, now);
             let timeout_us = self.cfg.fwd_timeout.as_micros().max(1);
             let backoff = timeout_us << p.attempts_used.min(4);
-            let jitter = mix(id ^ (u64::from(p.attempts_used) << 56)) % (timeout_us / 4 + 1);
+            // Retry jitter from a stateless mixer: no RNG in the core.
+            let jitter = mix64(id ^ (u64::from(p.attempts_used) << 56)) % (timeout_us / 4 + 1);
             p.next_retry = now + SimDuration::from_micros(backoff + jitter);
             effects.push(Effect::Forward {
                 to: p.to,
@@ -725,13 +719,8 @@ impl BrokerNode {
     /// keep the digest comparable across brokers with different intern
     /// orders.
     pub fn table_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| h = fnv1a(h, bytes);
         for sub in self.table.live_entries() {
             let name = self.interner.resolve(sub.cxt_type).unwrap_or("");
             fold(name.as_bytes());

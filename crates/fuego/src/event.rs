@@ -79,7 +79,9 @@ impl EventNotification {
     pub fn to_envelope(&self) -> XmlElement {
         // A fake-but-plausible message digest: fixed-width hex derived
         // from cheap hashing, standing in for the integrity header real
-        // deployments carry.
+        // deployments carry. Not `simkit::hash::fnv1a`: the multiplier
+        // differs from the FNV prime, and the 1696 B envelope golden
+        // pins these bytes.
         let digest = {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for b in self.body.to_xml().bytes() {

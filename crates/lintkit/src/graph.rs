@@ -3,8 +3,8 @@
 //!
 //! Built from the item-level parse ([`crate::parser`]) of every
 //! *library* file in the workspace plus a hand-rolled scan of the
-//! Cargo manifests (no `toml` dependency — the linter stays
-//! dependency-free). The graph gives the reachability engine
+//! Cargo manifests (no `toml` dependency — the linter takes nothing
+//! from crates.io). The graph gives the reachability engine
 //! ([`crate::reach`]) three things:
 //!
 //! - a node per `fn` item, keyed by crate / inline-module path / name /
@@ -28,7 +28,9 @@
 //!   the caller's **bidirectional cone** (down ∪ up). The up-side is
 //!   what models dyn-trait injection: `core` calls `.provide()` on a
 //!   trait object whose impl lives in `testbed` (a crate that *depends
-//!   on* core), so candidates must include dependents.
+//!   on* core), so candidates must include dependents. Only their
+//!   trait-impl methods, though: a dependency cannot name a
+//!   dependent's types, so it can never call their inherent methods.
 
 use crate::lexer::{self, Lexed, TokKind};
 use crate::parser::{self, FnItem, ParsedFile, Ref, UseDecl};
@@ -603,7 +605,8 @@ impl Workspace {
     }
 
     /// Method-call resolution: every method of that name in the
-    /// caller's bidirectional cone.
+    /// caller's down cone, plus every trait-impl method of that name in
+    /// its up cone.
     fn resolve_method(&self, node: &FnNode, name: &str) -> Vec<u32> {
         let empty = BTreeSet::new();
         let down = self.cone_down(&node.krate).unwrap_or(&empty);
@@ -616,7 +619,8 @@ impl Workspace {
                     .filter(|&id| {
                         let f = &self.fns[id as usize];
                         f.self_type.is_some()
-                            && (down.contains(&f.krate) || up.contains(&f.krate))
+                            && (down.contains(&f.krate)
+                                || (f.trait_impl.is_some() && up.contains(&f.krate)))
                     })
                     .collect()
             })

@@ -20,8 +20,8 @@
 //! - [`rules`] — the catalog, re-based on per-token taint flags
 //!   ([`TokFlags`]), including the graph-powered passes
 //!   `panic-reachable`, `float-order` and `shard-shared-state`;
-//! - [`ratchet`] + [`jsonio`] — the machine-readable report
-//!   (`contory-lint/1`) and the checked-in ratchet baseline
+//! - [`ratchet`] — the machine-readable report (`contory-lint/1`) and
+//!   the checked-in ratchet baseline
 //!   (`results/lint_baseline.json`): legacy findings stay pinned, any
 //!   *new* finding fails tier-1.
 //!
@@ -66,7 +66,6 @@
 #![deny(missing_docs)]
 
 pub mod graph;
-pub mod jsonio;
 pub mod lexer;
 pub mod parser;
 pub mod ratchet;

@@ -22,10 +22,17 @@
 //! cargo run -p lintkit -- --workspace --write-baseline results/lint_baseline.json
 //! ```
 
-use crate::jsonio::{self, Value, BASELINE_SCHEMA, REPORT_SCHEMA};
 use crate::RunReport;
+use simkit::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+/// Schema of the full report `--json` emits: per-file diagnostics, the
+/// computed sim-visible crate set and the `(rule, path) → count` table
+/// the ratchet operates on.
+pub const REPORT_SCHEMA: &str = "contory-lint/1";
+/// Schema of the checked-in ratchet baseline: just the count table.
+pub const BASELINE_SCHEMA: &str = "contory-lint-baseline/1";
 
 /// Rules whose findings can never be pinned in a baseline.
 const NEVER_PINNED: &[&str] = &["unused-pragma"];
@@ -53,21 +60,24 @@ pub struct Baseline {
 impl Baseline {
     /// Parses a baseline document, validating the schema tag.
     pub fn parse(src: &str) -> Result<Baseline, String> {
-        let v = jsonio::parse(src)?;
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
+        let v = Json::parse(src)?;
+        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
         if schema != BASELINE_SCHEMA {
             return Err(format!(
                 "baseline schema mismatch: got `{schema}`, want `{BASELINE_SCHEMA}`"
             ));
         }
         let mut counts = Counts::new();
-        for entry in v.get("counts").and_then(Value::as_arr).unwrap_or(&[]) {
-            let rule = entry.get("rule").and_then(Value::as_str).unwrap_or("");
-            let path = entry.get("path").and_then(Value::as_str).unwrap_or("");
-            let count = entry.get("count").and_then(Value::as_u64).unwrap_or(0);
+        for entry in v.get("counts").and_then(Json::as_arr).unwrap_or(&[]) {
+            let rule = entry.get("rule").and_then(Json::as_str).unwrap_or("");
+            let path = entry.get("path").and_then(Json::as_str).unwrap_or("");
             if rule.is_empty() || path.is_empty() {
                 return Err("baseline entry missing rule/path".to_string());
             }
+            let count = match entry.get("count").and_then(Json::as_f64) {
+                Some(n) if n >= 0.0 && n.fract() == 0.0 => n as u64,
+                _ => return Err(format!("baseline entry `{rule}` `{path}`: bad count")),
+            };
             counts.insert((rule.to_string(), path.to_string()), count);
         }
         Ok(Baseline { counts })
@@ -87,9 +97,9 @@ impl Baseline {
             let comma = if i + 1 == pinnable.len() { "" } else { "," };
             let _ = writeln!(
                 out,
-                "    {{\"rule\": \"{}\", \"path\": \"{}\", \"count\": {}}}{comma}",
-                jsonio::escape(rule),
-                jsonio::escape(path),
+                "    {{\"rule\": {}, \"path\": {}, \"count\": {}}}{comma}",
+                Json::str(rule).render_compact(),
+                Json::str(path).render_compact(),
                 count
             );
         }
@@ -181,7 +191,7 @@ pub fn render_report(report: &RunReport, sim_visible: &BTreeSet<String>) -> Stri
     let _ = write!(out, "  \"sim_visible\": [");
     for (i, k) in sim_visible.iter().enumerate() {
         let comma = if i + 1 == sim_visible.len() { "" } else { ", " };
-        let _ = write!(out, "\"{}\"{comma}", jsonio::escape(k));
+        let _ = write!(out, "{}{comma}", Json::str(k).render_compact());
     }
     let _ = writeln!(out, "],");
     let _ = writeln!(out, "  \"diagnostics\": [");
@@ -189,12 +199,12 @@ pub fn render_report(report: &RunReport, sim_visible: &BTreeSet<String>) -> Stri
         let comma = if i + 1 == report.diagnostics.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \"msg\": \"{}\"}}{comma}",
-            jsonio::escape(d.rule),
-            jsonio::escape(&d.path.display().to_string()),
+            "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"col\": {}, \"msg\": {}}}{comma}",
+            Json::str(d.rule).render_compact(),
+            Json::str(d.path.display().to_string()).render_compact(),
             d.line,
             d.col,
-            jsonio::escape(&d.msg)
+            Json::str(&d.msg).render_compact()
         );
     }
     let _ = writeln!(out, "  ],");
@@ -203,9 +213,9 @@ pub fn render_report(report: &RunReport, sim_visible: &BTreeSet<String>) -> Stri
         let comma = if i + 1 == counts.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"count\": {}}}{comma}",
-            jsonio::escape(rule),
-            jsonio::escape(path),
+            "    {{\"rule\": {}, \"path\": {}, \"count\": {}}}{comma}",
+            Json::str(rule).render_compact(),
+            Json::str(path).render_compact(),
             count
         );
     }
@@ -253,6 +263,30 @@ mod tests {
                 .get(&("panic-reachable".into(), "crates/simkit/src/sim.rs".into())),
             Some(&3)
         );
+    }
+
+    #[test]
+    fn baseline_rejects_bad_counts() {
+        for count in ["-1", "1.5", "\"3\""] {
+            let src = format!(
+                "{{\"schema\": \"{BASELINE_SCHEMA}\", \"counts\": \
+                 [{{\"rule\": \"r\", \"path\": \"p.rs\", \"count\": {count}}}]}}"
+            );
+            assert!(Baseline::parse(&src).is_err(), "count {count} accepted");
+        }
+    }
+
+    #[test]
+    fn baseline_parse_rejects_garbage() {
+        let good = Baseline::render(&counts_of(&report_with(&[("panic-reachable", "a.rs", 1)])));
+        assert!(Baseline::parse(&good).is_ok());
+        let truncated = good.trim_end().trim_end_matches('}');
+        let trailing = format!("{good}x");
+        let dangling_comma = good.replacen("}\n  ]", "},\n  ]", 1);
+        assert_ne!(dangling_comma, good, "fixture lost its counts array");
+        for bad in [truncated, trailing.as_str(), dangling_comma.as_str()] {
+            assert!(Baseline::parse(bad).is_err(), "accepted:\n{bad}");
+        }
     }
 
     #[test]

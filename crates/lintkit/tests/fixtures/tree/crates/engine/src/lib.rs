@@ -10,9 +10,18 @@ pub struct Sim {
     now: u64,
 }
 
+/// Observer injected by a dependent crate (`app::Recorder`).
+pub trait Hook {
+    fn on_event(&mut self, at: u64);
+}
+
 impl Sim {
     pub fn schedule_at(&mut self, at: u64) {
         self.dispatch(at);
+    }
+
+    pub fn notify(&mut self, hook: &mut dyn Hook) {
+        hook.on_event(self.now);
     }
 
     fn dispatch(&mut self, at: u64) {

@@ -111,3 +111,16 @@ fn unreachable_leaf_is_untainted() {
     assert!(reach.sim_visible.contains("engine"));
     assert!(reach.sim_visible.contains("app"));
 }
+
+#[test]
+fn up_cone_methods_are_trait_impls_only() {
+    let (ws, reach) = analyzed();
+    // The engine can reach a dependent's code only through a trait it
+    // defines: `Recorder::on_event` (an `impl Hook`) inherits the sim
+    // taint of `Sim::notify`...
+    assert!(taint_of(&ws, &reach, "app", "on_event").sim);
+    // ...while the inherent `Planner::dispatch` is not callable from
+    // the engine, whatever its name.
+    assert!(taint_of(&ws, &reach, "engine", "dispatch").sim);
+    assert!(!taint_of(&ws, &reach, "app", "dispatch").sim);
+}

@@ -9,6 +9,7 @@
 //! event-ordered, the id sequence — and hence the JSONL export — is
 //! byte-deterministic per seed.
 
+use simkit::json::escape_into;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -278,7 +279,7 @@ impl SpanLog {
             }
             let _ = write!(out, ",\"phase\":\"{}\"", s.phase.as_str());
             out.push_str(",\"label\":\"");
-            escape_json_into(&s.label, &mut out);
+            escape_into(&s.label, &mut out);
             out.push('"');
             let _ = write!(out, ",\"start_us\":{}", s.start.as_micros());
             match s.end {
@@ -290,23 +291,6 @@ impl SpanLog {
             out.push_str("}\n");
         }
         out
-    }
-}
-
-/// JSON string-escapes `s` into `out`.
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

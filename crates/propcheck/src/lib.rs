@@ -58,6 +58,8 @@ pub mod test_runner {
         s: [u64; 4],
     }
 
+    // SplitMix64 and FNV-1a below duplicate `simkit::hash` on purpose:
+    // simkit dev-depends on this crate, so it cannot depend on simkit.
     fn splitmix64(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;

@@ -49,6 +49,7 @@
 
 #![deny(warnings)]
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -95,15 +96,6 @@ pub struct FaultPlan {
     restarts: BTreeMap<String, Vec<SimTime>>,
     /// Per-link lossy-delivery models, keyed by link label.
     links: BTreeMap<String, LinkFault>,
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl FaultPlan {
@@ -285,7 +277,7 @@ impl FaultPlan {
         let stream = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ fnv1a(target)
+            ^ fnv1a(FNV_OFFSET, target.as_bytes())
             ^ call.wrapping_mul(0xD1B5_4A32_D192_ED03);
         *call += 1;
         let mut rng = DetRng::new(stream);
@@ -487,7 +479,7 @@ impl LinkChaos {
     pub fn new(seed: u64, label: &str, fault: LinkFault) -> Self {
         LinkChaos {
             fault,
-            rng: DetRng::derive(seed, LINK_SALT ^ fnv1a(label)),
+            rng: DetRng::derive(seed, LINK_SALT ^ fnv1a(FNV_OFFSET, label.as_bytes())),
             stats: LinkStats::default(),
         }
     }

@@ -1,13 +1,15 @@
 //! Minimal deterministic JSON: a value tree, a pretty writer and a
 //! recursive-descent parser.
 //!
-//! The build environment is offline (no serde); everything benchkit
-//! emits or reads — `BENCH_contory.json`, `results/baseline.json`, the
-//! embedded obskit metrics snapshot — goes through this module. Objects
-//! are ordered `(key, value)` vectors, so the *writer* controls key
-//! order and the output is byte-deterministic for a given tree; the
-//! parser preserves encounter order, which keeps parse→render
-//! round-trips stable too.
+//! The workspace's single JSON codec (the build is offline, so no
+//! serde): benchkit's `BENCH_contory.json` and `results/baseline.json`,
+//! obskit's metrics and span exports (through [`escape_into`] and
+//! [`fmt_f64`]), tracekit's JSONL readers and lintkit's ratchet
+//! baseline and report all go through this module. Objects are
+//! ordered `(key, value)` vectors, so the *writer* controls key order
+//! and the output is byte-deterministic for a given tree; the parser
+//! preserves encounter order, which keeps parse→render round-trips
+//! stable too.
 
 use std::fmt::Write as _;
 
@@ -227,7 +229,10 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// JSON string-escapes `s` into `out` (no surrounding quotes): `"`,
+/// `\\`, `\n`, `\r` and `\t` get their short escapes, other control
+/// characters `\u00XX`.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -259,11 +264,15 @@ impl Parser<'_> {
         }
     }
 
+    fn rest(&self) -> &[u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -273,7 +282,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -297,7 +306,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -308,7 +317,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let v = self.value()?;
             entries.push((key, v));
             self.skip_ws();
@@ -324,7 +333,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -346,7 +355,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -357,7 +366,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
+                std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
                     .map_err(|_| format!("invalid UTF-8 near byte {start}"))?,
             );
             match self.peek() {
@@ -381,10 +390,11 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".to_owned());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                            let hex = self
+                                .rest()
+                                .get(..4)
+                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                            let hex = std::str::from_utf8(hex)
                                 .map_err(|_| "bad \\u escape".to_owned())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape '{hex}'"))?;
@@ -413,7 +423,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
             .map_err(|_| "non-UTF-8 number".to_owned())?;
         text.parse::<f64>()
             .map(Json::Num)
@@ -446,11 +456,24 @@ mod tests {
     }
 
     #[test]
+    fn escape_into_maps_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        escape_into("a\"b\\c\nd\re\tf\u{1}g\u{e9}", &mut out);
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\u{e9}");
+        assert_eq!(
+            Json::parse(&format!("\"{out}\"")),
+            Ok(Json::str("a\"b\\c\nd\re\tf\u{1}g\u{e9}"))
+        );
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("nope").is_err());
+        assert!(Json::parse("\"\\u12").is_err());
+        assert!(Json::parse("\"abc").is_err());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! engine, [`ShardSim`]: per-shard event queues under a
 //! partition-independent `(time, actor, seq)` total order, a
 //! deterministic cross-shard merge batched at time-step barriers, and
-//! optional scoped-thread parallel stepping (`parallel` feature, on by
-//! default). Same seed ⇒ byte-identical outputs for any shard or thread
-//! count, so parallelism never costs reproducibility.
+//! scoped-thread parallel stepping. Same seed ⇒ byte-identical outputs
+//! for any shard or thread count, so parallelism never costs
+//! reproducibility.
 //!
 //! Main pieces:
 //!
@@ -36,6 +36,9 @@
 //!   [`FaultPlan`]s compiled to up/down edges and applied to registered
 //!   kill-switches by a [`FaultInjector`] (paper Fig. 5's source
 //!   failures, made reproducible).
+//! - [`json`]: the workspace's one JSON codec (value tree, deterministic
+//!   writer, parser, string escaper and float formatter).
+//! - [`hash`]: the workspace's one FNV-1a and SplitMix64 finalizer.
 //!
 //! # Example
 //!
@@ -57,6 +60,8 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+pub mod hash;
+pub mod json;
 mod rng;
 pub mod shard;
 mod sim;

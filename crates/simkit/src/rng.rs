@@ -9,17 +9,16 @@
 //! platform, which is what keeps the benchmark tables reproducible in
 //! hermetic (offline) builds.
 
+use crate::hash::mix64;
 use crate::time::SimDuration;
 
 /// SplitMix64 step; used for seeding so that nearby seeds (0, 1, 2, …)
 /// still yield well-separated xoshiro states.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
+    let z = mix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 /// A deterministic random number generator (xoshiro256++).

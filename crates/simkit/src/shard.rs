@@ -51,14 +51,14 @@
 //!
 //! # Parallelism
 //!
-//! With the `parallel` crate feature (on by default) shards are stepped
-//! by scoped OS threads; without it, or with `threads = 1`, the engine
-//! degrades to a sequential loop over shards in index order. The
-//! hermetic build vendors no rayon, so the worker pool is
+//! Shards are stepped by scoped OS threads; with `threads = 1` (or a
+//! single shard) the engine runs a sequential loop over shards in index
+//! order. The hermetic build vendors no rayon, so the worker pool is
 //! `std::thread::scope` over contiguous shard chunks — same contract,
 //! zero dependencies. Worker count never influences outputs, only
 //! wall-clock speed.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -122,9 +122,8 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Physical shard (queue) count; at least 1.
     pub shards: u32,
-    /// Worker threads stepping shards each round; at least 1. Without
-    /// the `parallel` feature any value degrades to 1. Never affects
-    /// outputs.
+    /// Worker threads stepping shards each round; at least 1, and never
+    /// more than `shards`. Never affects outputs.
     pub threads: u32,
     /// Keep the full merged transcript of [`EventCtx::emit`] records.
     /// Off, only the running digest and counts are kept (the 100k-device
@@ -473,19 +472,6 @@ pub struct ShardSim<A, E, H> {
     profile: EngineProfile,
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 impl<A, E, H> ShardSim<A, E, H>
 where
     A: Send,
@@ -493,7 +479,7 @@ where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E) + Sync,
 {
     /// Creates an engine. `shards` and `threads` are clamped to at
-    /// least 1; without the `parallel` feature `threads` degrades to 1.
+    /// least 1.
     pub fn new(cfg: ShardConfig, handler: H) -> Self {
         let shards = cfg.shards.max(1);
         ShardSim {
@@ -634,11 +620,7 @@ where
 
     /// Worker threads a round will actually use.
     pub fn effective_threads(&self) -> u32 {
-        if cfg!(feature = "parallel") {
-            self.cfg.threads.min(self.cfg.shards).max(1)
-        } else {
-            1
-        }
+        self.cfg.threads.min(self.cfg.shards).max(1)
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -813,20 +795,6 @@ where
     if threads <= 1 || shards.len() <= 1 {
         return shards.iter_mut().map(f).collect();
     }
-    parallel_run_shards(shards, threads, f)
-}
-
-#[cfg(feature = "parallel")]
-fn parallel_run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
-where
-    A: Send,
-    E: Send,
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E> + Sync,
-{
     let chunk = shards.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
@@ -843,18 +811,6 @@ where
         }
         outs
     })
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    _threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
-where
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E>,
-{
-    shards.iter_mut().map(f).collect()
 }
 
 #[cfg(test)]

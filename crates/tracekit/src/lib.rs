@@ -44,5 +44,5 @@ mod log;
 pub use assemble::{
     assemble, summaries, Breakup, Delivery, TraceNode, TraceSummary, TraceTree,
 };
-pub use ctx::{mix64, ParseCtxError, TraceCtx};
+pub use ctx::{ParseCtxError, TraceCtx};
 pub use log::{Stage, TraceError, TraceEvent, TraceLog};

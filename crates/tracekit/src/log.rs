@@ -9,7 +9,9 @@
 //! its JSONL export, which additionally canonicalises the order — is
 //! byte-identical across shard and thread counts.
 
-use crate::ctx::{mix64, TraceCtx};
+use crate::ctx::TraceCtx;
+use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
+use simkit::json::Json;
 use simkit::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
@@ -229,12 +231,7 @@ impl TraceLog {
     /// FNV-1a digest of the canonical export — the compact byte-identity
     /// witness determinism transcripts embed.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.export_jsonl().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(FNV_OFFSET, self.export_jsonl().as_bytes())
     }
 
     /// Parses a `contory-trace/1` JSONL stream back into a log
@@ -249,16 +246,22 @@ impl TraceLog {
                 line: i + 1,
                 detail: detail.to_owned(),
             };
-            let trace_hex = field_str(line, "trace").ok_or_else(|| bad("missing trace"))?;
+            let obj = Json::parse(line).map_err(|e| bad(&e))?;
+            let missing = |key: &str| bad(&format!("missing {key}"));
+            let string = |key: &str| {
+                obj.get(key)
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| missing(key))
+            };
+            let num = |key: &str| u64_field(&obj, key).ok_or_else(|| missing(key));
             let trace_id =
-                u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
-            let stage_name = field_str(line, "stage").ok_or_else(|| bad("missing stage"))?;
-            let stage = Stage::from_str(stage_name).ok_or_else(|| bad("unknown stage"))?;
-            let span = field_u64(line, "span").ok_or_else(|| bad("missing span"))? as u32;
-            let parent = field_u64(line, "parent").ok_or_else(|| bad("missing parent"))? as u32;
-            let node = field_u64(line, "node").ok_or_else(|| bad("missing node"))?;
-            let hop = field_u64(line, "hop").ok_or_else(|| bad("missing hop"))? as u8;
-            let at_us = field_u64(line, "at_us").ok_or_else(|| bad("missing at_us"))?;
+                u64::from_str_radix(string("trace")?, 16).map_err(|_| bad("bad trace id"))?;
+            let stage = Stage::from_str(string("stage")?).ok_or_else(|| bad("unknown stage"))?;
+            let span = num("span")? as u32;
+            let parent = num("parent")? as u32;
+            let node = num("node")?;
+            let hop = num("hop")? as u8;
+            let at_us = num("at_us")?;
             log.events.push(TraceEvent {
                 trace_id,
                 span,
@@ -293,7 +296,8 @@ impl TraceLog {
                 line: i + 1,
                 detail: detail.to_owned(),
             };
-            let Some(label) = field_str(line, "label") else {
+            let obj = Json::parse(line).map_err(|e| bad(&e))?;
+            let Some(label) = obj.get("label").and_then(Json::as_str) else {
                 continue;
             };
             let Some(trace_hex) = marker(label, "t=") else {
@@ -312,13 +316,13 @@ impl TraceLog {
                 .unwrap_or(0);
             let span = match marker(label, "sp=") {
                 Some(v) => v.parse::<u32>().map_err(|_| bad("bad sp= marker"))?,
-                None => field_u64(line, "id").ok_or_else(|| bad("missing id"))? as u32,
+                None => u64_field(&obj, "id").ok_or_else(|| bad("missing id"))? as u32,
             };
             let parent = match marker(label, "p=") {
                 Some(v) => v.parse::<u32>().map_err(|_| bad("bad p= marker"))?,
-                None => field_u64(line, "parent").unwrap_or(0) as u32,
+                None => u64_field(&obj, "parent").unwrap_or(0) as u32,
             };
-            let at_us = field_u64(line, "start_us").ok_or_else(|| bad("missing start_us"))?;
+            let at_us = u64_field(&obj, "start_us").ok_or_else(|| bad("missing start_us"))?;
             log.events.push(TraceEvent {
                 trace_id,
                 span,
@@ -357,33 +361,12 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Extracts the string value of `"key":"…"` from a flat JSON line,
-/// honouring backslash escapes (returns the raw escaped slice).
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line.get(start..)?;
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return rest.get(..i),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":123` from a flat JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line.get(start..)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest.get(..end)?.parse().ok()
+/// The value of `key` on a parsed JSONL object when it is an integer
+/// that `f64` holds exactly (below 2^53; ids, hops and microsecond
+/// times are far smaller).
+fn u64_field(obj: &Json, key: &str) -> Option<u64> {
+    let v = obj.get(key)?.as_f64()?;
+    (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
 }
 
 /// Extracts a whitespace-delimited `key=value` marker from a label.
@@ -451,6 +434,19 @@ mod tests {
         let err = TraceLog::parse_jsonl("{\"trace\":\"zz\"}").unwrap_err();
         assert!(matches!(err, TraceError::BadLine { line: 1, .. }));
         assert!(TraceLog::parse_jsonl("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn obskit_labels_are_unescaped_before_marker_split() {
+        // obskit escapes a tab separator as `\t`; read raw, the markers
+        // would glue into one token and `s=` would never be found.
+        let jsonl = "{\"id\":4,\"parent\":null,\"phase\":\"broker\",\
+                     \"label\":\"store\\tt=00000000000000ab\\ts=admit\\tn=3\",\
+                     \"start_us\":10,\"end_us\":12}\n";
+        let log = TraceLog::from_obskit_jsonl(jsonl).unwrap();
+        assert_eq!(log.len(), 1);
+        let ev = log.events()[0];
+        assert_eq!((ev.trace_id, ev.stage, ev.node, ev.span), (0xab, Stage::Admit, 3, 4));
     }
 
     #[test]

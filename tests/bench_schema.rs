@@ -10,7 +10,8 @@
 //! `scripts/verify.sh`).
 #![deny(warnings)]
 
-use benchkit::{Baseline, Json, Unit, BASELINE_SCHEMA, SCHEMA};
+use benchkit::{Baseline, Unit, BASELINE_SCHEMA, SCHEMA};
+use simkit::json::Json;
 
 fn read_repo_file(rel: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);

@@ -10,7 +10,7 @@
 //! hashes, so the golden bytes are stable across platforms.
 #![deny(warnings)]
 
-use benchkit::Json;
+use simkit::json::Json;
 use simkit::{SimDuration, SimTime};
 use tracekit::{assemble, Breakup, Stage, TraceCtx, TraceLog};
 
