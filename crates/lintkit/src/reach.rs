@@ -15,16 +15,15 @@
 //!     default method of a `trait Scenario` declaration (the §6
 //!     harness drives these);
 //!   - any function that *schedules* work (`schedule_at`,
-//!     `schedule_in`, `schedule_repeating`, `schedule_at_sharded`,
-//!     `schedule_in_sharded`, `schedule_self`, `schedule`): its body
+//!     `schedule_in`, `schedule_repeating`, `schedule_self`,
+//!     `schedule`): its body
 //!     lexically contains the scheduled closure, so everything the
 //!     testbed schedules is tainted through its scheduler.
 //! - **shard** — code reachable from shard-parallel stepping: methods
 //!   of `impl ShardSim` / `impl EventCtx`, any function referencing
 //!   the `ShardSim` type (it builds or drives a partitioned engine and
 //!   its handler closures run on worker threads), and callers of the
-//!   sharded scheduling surface (`schedule_self`,
-//!   `schedule_at_sharded`, `schedule_in_sharded`, `send_many`).
+//!   sharded scheduling surface (`schedule_self`, `send_many`).
 //! - **hot** — code reachable from the provisioning hot paths: the
 //!   public functions of the `core` crate (package `contory`), i.e.
 //!   the middleware surface a phone application calls. `panic-reachable`
@@ -42,16 +41,13 @@ use std::collections::BTreeSet;
 const SCHEDULE_NAMES: &[&str] = &[
     "schedule",
     "schedule_at",
-    "schedule_at_sharded",
     "schedule_in",
-    "schedule_in_sharded",
     "schedule_repeating",
     "schedule_self",
 ];
 
 /// Sharded scheduling surface: callers join the shard taint roots.
-const SHARD_SCHEDULE_NAMES: &[&str] =
-    &["schedule_self", "schedule_at_sharded", "schedule_in_sharded", "send_many"];
+const SHARD_SCHEDULE_NAMES: &[&str] = &["schedule_self", "send_many"];
 
 /// Self types whose impl methods are simulation-engine entry points.
 const ENGINE_TYPES: &[&str] = &["Sim", "ShardSim", "EventCtx"];

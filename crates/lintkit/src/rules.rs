@@ -462,7 +462,7 @@ pub const RULES: &[Rule] = &[
         summary: "no hash-order or scheduler-order dependence in shard-reachable paths",
         explain: "Scope is COMPUTED: reachable from the partitioned engine's \
                   parallel stepping (ShardSim/EventCtx impl methods, fns driving a \
-                  ShardSim, callers of the sharded scheduling surface). Cross-shard \
+                  ShardSim, callers of schedule_self/send_many). Cross-shard \
                   event order must come from the `(time, actor, seq)` key only: \
                   hash iteration, rayon-style parallel iteration and unordered \
                   `.reduce()` grouping all leak shard/thread count into outputs, \

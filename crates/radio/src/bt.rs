@@ -22,7 +22,7 @@
 
 use crate::world::{NodeId, World};
 use phone::{Consumer, Milliwatts, Phone, PowerModel};
-use simkit::{DetRng, ShardId, Sim, SimDuration, SimTime};
+use simkit::{DetRng, Sim, SimDuration, SimTime};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -312,12 +312,6 @@ impl BtMedium {
 
     fn state_of(&self, node: NodeId) -> Option<Rc<RefCell<RadioState>>> {
         self.inner.borrow().radios.get(&node).cloned()
-    }
-
-    /// The shard the node's receive side lives on (from the world's
-    /// partition assignment) — the ordering tag of deliveries to it.
-    fn shard_of(&self, node: NodeId) -> ShardId {
-        self.inner.borrow().world.shard_of(node)
     }
 
     fn alloc_link(&self) -> LinkId {
@@ -728,10 +722,7 @@ impl BtRadio {
         self.refresh_power_at(self.state().borrow().tx_active_until);
 
         let me = self.clone();
-        // Cross-node delivery: tagged with the receiver's shard so the
-        // event order matches the partitioned engine's merge.
-        let dest_shard = self.medium.shard_of(peer);
-        sim.schedule_in_sharded(dest_shard, latency, move || {
+        sim.schedule_in(latency, move || {
             obskit::end(span, me.medium.sim().now());
             if !me.medium.in_range(me.node, peer) {
                 obskit::count("bt_send_failures", 1);

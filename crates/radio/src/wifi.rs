@@ -14,7 +14,7 @@
 
 use crate::world::{NodeId, World};
 use phone::{Consumer, Milliwatts, Phone, PowerModel};
-use simkit::{DetRng, ShardId, Sim, SimDuration, SimTime};
+use simkit::{DetRng, Sim, SimDuration, SimTime};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -162,12 +162,6 @@ impl WifiMedium {
 
     fn state_of(&self, node: NodeId) -> Option<Rc<RefCell<RadioState>>> {
         self.inner.borrow().radios.get(&node).cloned()
-    }
-
-    /// The shard the node's receive side lives on (from the world's
-    /// partition assignment) — the ordering tag of deliveries to it.
-    fn shard_of(&self, node: NodeId) -> ShardId {
-        self.inner.borrow().world.shard_of(node)
     }
 
     fn in_range(&self, a: NodeId, b: NodeId) -> bool {
@@ -344,10 +338,7 @@ impl WifiRadio {
             sim.now(),
         );
         let me = self.clone();
-        // Cross-node delivery: tagged with the receiver's shard so the
-        // event order matches the partitioned engine's merge.
-        let dest_shard = self.medium.shard_of(dst);
-        sim.schedule_in_sharded(dest_shard, latency, move || {
+        sim.schedule_in(latency, move || {
             obskit::end(span, me.medium.sim().now());
             if !me.is_joined() {
                 obskit::count("wifi_hop_failures", 1);

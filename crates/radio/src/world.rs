@@ -6,7 +6,7 @@
 //! interpolation, enough to model sailing boats drifting along a regatta
 //! course.
 
-use simkit::{ShardId, Sim, SimTime};
+use simkit::{Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -135,12 +135,6 @@ struct Inner {
     /// Nodes whose radios are dead (churn/partition fault injection):
     /// they keep a position but drop out of every topology answer.
     down: BTreeSet<NodeId>,
-    /// Partition assignment for the sharded engine: nodes not present
-    /// live on shard 0 (the whole-world default). The assignment is an
-    /// event-ordering *tag*, never a topology answer, so it cannot
-    /// change what a scenario computes — only how its same-instant
-    /// events tie-break, which matches the partitioned merge order.
-    shards: BTreeMap<NodeId, ShardId>,
     next_id: u32,
 }
 
@@ -169,7 +163,6 @@ impl World {
                 sim: sim.clone(),
                 nodes: BTreeMap::new(),
                 down: BTreeSet::new(),
-                shards: BTreeMap::new(),
                 next_id: 0,
             })),
         }
@@ -257,28 +250,6 @@ impl World {
         for &n in nodes {
             self.set_node_up(n, false);
         }
-    }
-
-    /// Assigns a node to a shard (partition of the sharded engine).
-    /// Unassigned nodes live on shard 0. Radios use the assignment to
-    /// tag cross-node deliveries with the receiver's shard, preserving
-    /// the partitioned merge order. Unknown ids are a no-op.
-    pub fn set_shard(&self, node: NodeId, shard: ShardId) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.nodes.contains_key(&node) {
-            inner.shards.insert(node, shard);
-        }
-    }
-
-    /// The shard a node is assigned to (shard 0 when unassigned or
-    /// unknown).
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        self.inner
-            .borrow()
-            .shards
-            .get(&node)
-            .copied()
-            .unwrap_or(ShardId::ZERO)
     }
 
     /// All registered nodes.
@@ -454,19 +425,6 @@ mod tests {
         assert!(!w.is_node_up(NodeId(77)));
         w.set_node_up(a, true);
         assert!(w.is_node_up(a));
-    }
-
-    #[test]
-    fn shard_assignment_defaults_to_zero() {
-        let sim = Sim::new();
-        let w = World::new(&sim);
-        let a = w.add_node(Position::ORIGIN);
-        assert_eq!(w.shard_of(a), ShardId::ZERO);
-        w.set_shard(a, ShardId(3));
-        assert_eq!(w.shard_of(a), ShardId(3));
-        // Unknown node: no-op assignment, zero answer.
-        w.set_shard(NodeId(99), ShardId(7));
-        assert_eq!(w.shard_of(NodeId(99)), ShardId::ZERO);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! Main pieces:
 //!
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution virtual time.
-//! - [`Sim`]: the event queue. Cheap to clone (handle semantics); events are
+//! - [`Sim`]: the event queue, ordered by `(time, seq)` so same-instant
+//!   events run FIFO. Cheap to clone (handle semantics); events are
 //!   `FnOnce` closures, repeating timers are supported via
 //!   [`Sim::schedule_repeating`].
 //! - [`DetRng`]: seeded random source with the distributions the radio
@@ -72,5 +73,5 @@ pub mod trace;
 pub use faults::{FaultInjector, FaultPlan};
 pub use rng::DetRng;
 pub use shard::{ActorId, EventCtx, EventKey, ShardConfig, ShardId, ShardSim};
-pub use sim::{Sim, TimerId};
+pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

@@ -19,7 +19,7 @@ use radio::cell::{CellModem, CellNetwork, CellParams};
 use radio::wifi::{WifiMedium, WifiParams, WifiRadio};
 use radio::{NodeId, Position, World};
 use sensors::{BtGpsDevice, EnvField, Environment, WeatherStation};
-use simkit::{FaultInjector, FaultPlan, ShardId, Sim, SimDuration, SimTime};
+use simkit::{FaultInjector, FaultPlan, Sim, SimDuration, SimTime};
 use smartmsg::{SmNode, SmParams, SmPlatform};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -33,12 +33,6 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Ground-truth environment seed.
     pub env_seed: u64,
-    /// Partition count for the sharded engine: devices are assigned to
-    /// shards round-robin in creation order, and radio deliveries carry
-    /// the receiver's shard as their event-ordering tag. 1 (the
-    /// default) keeps every node on shard 0 — the classic sequential
-    /// path, bit-for-bit.
-    pub shards: u32,
 }
 
 impl Default for TestbedConfig {
@@ -46,7 +40,6 @@ impl Default for TestbedConfig {
         TestbedConfig {
             seed: 2006,
             env_seed: 2005,
-            shards: 1,
         }
     }
 }
@@ -273,24 +266,7 @@ impl Testbed {
         Testbed::new(TestbedConfig {
             seed,
             env_seed: seed ^ 0xe57,
-            ..TestbedConfig::default()
         })
-    }
-
-    /// A testbed partitioned over `shards` shards (see
-    /// [`TestbedConfig::shards`]). `with_seed_and_shards(s, 1)` is
-    /// exactly [`Testbed::with_seed`]`(s)`.
-    pub fn with_seed_and_shards(seed: u64, shards: u32) -> Self {
-        Testbed::new(TestbedConfig {
-            seed,
-            env_seed: seed ^ 0xe57,
-            shards: shards.max(1),
-        })
-    }
-
-    /// The shard a node is assigned to (shard 0 when unassigned).
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        self.world.shard_of(node)
     }
 
     fn fresh_seed(&self) -> u64 {
@@ -327,11 +303,6 @@ impl Testbed {
     }
 
     fn add_phone_at_node(&self, setup: PhoneSetup, node: NodeId) -> Rc<TestbedPhone> {
-        // Round-robin partition assignment in creation order; with the
-        // default 1-shard config every device stays on shard 0 and no
-        // event tag ever differs from the classic path.
-        let shard = ShardId(self.devices.borrow().len() as u32 % self.cfg.shards.max(1));
-        self.world.set_shard(node, shard);
         let spec = setup.model.spec();
         let phone = Phone::new(
             &self.sim,
@@ -371,7 +342,6 @@ impl Testbed {
 
         // Cellular + Fuego (all models have at least 2G data).
         let modem = self.cell.attach(node, &phone, self.fresh_seed());
-        modem.set_shard(shard);
         if setup.cell_on {
             modem.set_radio(true);
         }

@@ -1,8 +1,9 @@
-//! Keeps the `broker_load` tables in EXPERIMENTS.md honest: every row
-//! pinned "exact" names its `BENCH_contory.json` measurement(s) in the
-//! "BENCH row" column, and each number quoted in the value column must
-//! equal that measurement. A re-pinned scenario that moves a row fails
-//! here until the doc is updated with it.
+//! Keeps the `scale_city`, `broker_load` and `broker_chaos` tables in
+//! EXPERIMENTS.md honest: every row pinned "exact" names its
+//! `BENCH_contory.json` measurement(s) in the "BENCH row" column, and
+//! each number quoted in the value column must equal that measurement.
+//! A re-pinned scenario that moves a row fails here until the doc is
+//! updated with it. Wall-clock rows are not pinned and not checked.
 #![deny(warnings)]
 
 use simkit::json::Json;
@@ -13,8 +14,8 @@ fn read_repo_file(rel: &str) -> String {
         .unwrap_or_else(|e| panic!("cannot read {} ({e})", path.display()))
 }
 
-/// The table rows (cells, trimmed) of the `## ` section whose heading
-/// starts with `heading`.
+/// The table rows (cells, trimmed of spaces and `**` bold markers) of
+/// the `## ` section whose heading starts with `heading`.
 fn section_rows(doc: &str, heading: &str) -> Vec<Vec<String>> {
     let start = doc
         .find(&format!("\n## {heading}"))
@@ -27,7 +28,7 @@ fn section_rows(doc: &str, heading: &str) -> Vec<Vec<String>> {
         .map(|l| {
             l.trim_matches('|')
                 .split('|')
-                .map(|c| c.trim().to_owned())
+                .map(|c| c.trim().trim_matches('*').to_owned())
                 .collect()
         })
         .collect()
@@ -51,17 +52,18 @@ fn leading_number(part: &str) -> f64 {
         .unwrap_or_else(|_| panic!("value cell part `{part}` has no leading number"))
 }
 
-fn broker_load_rows() -> Vec<(String, f64)> {
+/// Every `(id, value)` measurement of one scenario in BENCH_contory.json.
+fn bench_rows(scenario: &str) -> Vec<(String, f64)> {
     let bench = Json::parse(&read_repo_file("BENCH_contory.json")).expect("valid JSON");
-    let scenario = bench
+    let found = bench
         .get("scenarios")
         .and_then(Json::as_arr)
         .and_then(|s| {
             s.iter()
-                .find(|s| s.get("name").and_then(Json::as_str) == Some("broker_load"))
+                .find(|s| s.get("name").and_then(Json::as_str) == Some(scenario))
         })
-        .expect("broker_load scenario");
-    scenario
+        .unwrap_or_else(|| panic!("no {scenario} scenario in BENCH"));
+    found
         .get("measurements")
         .and_then(Json::as_arr)
         .expect("measurements")
@@ -73,15 +75,13 @@ fn broker_load_rows() -> Vec<(String, f64)> {
         .collect()
 }
 
-#[test]
-fn broker_load_tables_quote_bench_exactly() {
+/// Checks every "exact" row of the given sections against `scenario`'s
+/// BENCH rows and returns how many numbers it compared.
+fn check_sections(scenario: &str, headings: &[&str]) -> usize {
     let doc = read_repo_file("EXPERIMENTS.md");
-    let rows = broker_load_rows();
+    let rows = bench_rows(scenario);
     let mut checked = 0;
-    for heading in [
-        "Beyond the paper: federated broker fleet",
-        "Beyond the paper: causal tracing",
-    ] {
+    for heading in headings {
         for cells in section_rows(&doc, heading) {
             let [metric, value, ids, pinned] = cells.as_slice() else {
                 panic!("{heading}: row {cells:?} is not `metric | value | BENCH row | pinned how`");
@@ -102,7 +102,7 @@ fn broker_load_tables_quote_bench_exactly() {
                 let bench = rows
                     .iter()
                     .find(|(row, _)| row == id)
-                    .unwrap_or_else(|| panic!("{metric}: no broker_load row `{id}` in BENCH"))
+                    .unwrap_or_else(|| panic!("{metric}: no {scenario} row `{id}` in BENCH"))
                     .1;
                 assert_eq!(
                     leading_number(part),
@@ -113,9 +113,42 @@ fn broker_load_tables_quote_bench_exactly() {
             }
         }
     }
+    checked
+}
+
+#[test]
+fn broker_load_tables_quote_bench_exactly() {
+    let checked = check_sections(
+        "broker_load",
+        &[
+            "Beyond the paper: federated broker fleet",
+            "Beyond the paper: causal tracing",
+        ],
+    );
     assert!(
         checked >= 18,
         "only {checked} exact numbers found; tables lost rows?"
+    );
+}
+
+#[test]
+fn scale_city_table_quotes_bench_exactly() {
+    let checked = check_sections("scale_city", &["Beyond the paper: city-scale gossip"]);
+    assert!(
+        checked >= 4,
+        "only {checked} exact numbers found; table lost rows?"
+    );
+}
+
+#[test]
+fn broker_chaos_table_quotes_bench_exactly() {
+    let checked = check_sections(
+        "broker_chaos",
+        &["Beyond the paper: chaos & crash-recovery"],
+    );
+    assert!(
+        checked >= 18,
+        "only {checked} exact numbers found; table lost rows?"
     );
 }
 

@@ -2,52 +2,20 @@
 //! sharded engine, asserted end-to-end.
 //!
 //! Same seed ⇒ byte-identical outputs *regardless of shard or thread
-//! count*:
+//! count*: the `scale_city` gossip model on the partitioned [`ShardSim`]
+//! engine across shard counts {1, 4, 16} × worker threads {1, max}.
+//! Shards are physically separate queues stepped by real threads and
+//! merged at round boundaries, and the outcome (event totals,
+//! deliveries, folded state checksum) must still be bit-identical.
 //!
-//! * the Fig. 5 failover transcript (events, mechanism switches,
-//!   delivered items, `FailoverReport`, obskit metrics/span exports,
-//!   benchkit scenario JSON) on a testbed partitioned {1, 4, 16} ways —
-//!   the classic `Sim` orders same-instant events by `(time, shard,
-//!   seq)`, so the partition layout must never leak into outputs;
-//! * the `scale_city` gossip model on the partitioned [`ShardSim`]
-//!   engine across shard counts {1, 4, 16} × worker threads {1, max} —
-//!   here shards are physically separate queues stepped by real threads
-//!   and merged at round boundaries, and the outcome (event totals,
-//!   deliveries, folded state checksum) must still be bit-identical.
-//!
-//! Three seeds each, so an ordering leak that happens to cancel for one
+//! Three seeds, so an ordering leak that happens to cancel for one
 //! jitter stream still shows up.
 #![deny(warnings)]
 
-mod common;
-
-use common::run_fig5_transcript;
 use contory_bench::scenarios::scale_city::{run_city, CityConfig};
 use simkit::{ShardConfig, SimDuration};
 
 const SEEDS: [u64; 3] = [501, 11, 42];
-
-/// Fig. 5 on a partitioned testbed: shard counts {1, 4, 16} render the
-/// same transcript byte-for-byte. (The classic `Sim` is single-threaded;
-/// shards are ordering domains, so no thread axis here.)
-#[test]
-fn fig5_transcript_is_shard_count_invariant() {
-    for seed in SEEDS {
-        let reference = run_fig5_transcript(seed, 1);
-        assert!(
-            reference.contains("adHocNetwork") || reference.contains("AdHoc"),
-            "seed {seed}: scenario never failed over — comparison proves nothing"
-        );
-        for shards in [4u32, 16] {
-            let sharded = run_fig5_transcript(seed, shards);
-            assert!(
-                sharded == reference,
-                "seed {seed}: {shards}-shard transcript diverged from 1-shard\n\
-                 --- 1 shard ---\n{reference}\n--- {shards} shards ---\n{sharded}"
-            );
-        }
-    }
-}
 
 /// The partitioned engine: a small gossip city produces bit-identical
 /// outcomes across the full shard × thread matrix.
