@@ -16,6 +16,19 @@
 //! (`EVENT`, pushed on every matching arrival). Every subscription
 //! carries a `DURATION`-derived expiry, swept alongside retained
 //! packets.
+//!
+//! Cost model: [`SubscriptionTable::sweep`] and
+//! [`SubscriptionTable::periodic_due`] are full scans, but each runs only
+//! when a floor says it may find something. The table keeps two scalar
+//! lower bounds: `expiry_floor` (≤ every live `expires_at`, subscription
+//! or retained packet) and `due_floor` (≤ every periodic `next_due`).
+//! A sweep at `now <= expiry_floor` or a due check at `now < due_floor`
+//! returns at once; otherwise the scan runs unchanged and recomputes its
+//! floor exactly. Insertions lower the floors; renewals only extend and
+//! removals only remove, so both stay valid lower bounds. Any future code
+//! that lowers an `expires_at` or a `next_due` must lower the floor too.
+//! Per-type lists are dropped where they empty, so a skipped sweep
+//! leaves nothing behind.
 
 use crate::packet::ContextPacket;
 use contory::vocab::Sym;
@@ -86,11 +99,20 @@ impl Shard {
     }
 }
 
+/// Floor of an empty table: no expiry or due time lies beyond it.
+const NEVER: SimTime = SimTime::from_micros(u64::MAX);
+
 /// A broker's subscription state, sharded by interned context type.
 pub struct SubscriptionTable {
     shards: Vec<Shard>,
     next_id: u64,
     live: usize,
+    /// Lower bound on every subscription's and retained packet's
+    /// `expires_at`: a sweep at or before it removes nothing.
+    expiry_floor: SimTime,
+    /// Lower bound on every periodic subscription's `next_due`: nothing
+    /// is due before it.
+    due_floor: SimTime,
 }
 
 impl SubscriptionTable {
@@ -101,6 +123,8 @@ impl SubscriptionTable {
             shards: (0..n).map(|_| Shard::new()).collect(),
             next_id: 0,
             live: 0,
+            expiry_floor: NEVER,
+            due_floor: NEVER,
         }
     }
 
@@ -140,6 +164,10 @@ impl SubscriptionTable {
                 next_due,
             });
             self.live += 1;
+            self.expiry_floor = self.expiry_floor.min(expires_at);
+            if let SubMode::Periodic(_) = mode {
+                self.due_floor = self.due_floor.min(next_due);
+            }
         }
         id
     }
@@ -195,14 +223,19 @@ impl SubscriptionTable {
     /// Removes a subscription. Returns whether it existed.
     pub fn unsubscribe(&mut self, id: SubId) -> bool {
         for shard in &mut self.shards {
-            for subs in shard.subs.values_mut() {
-                let before = subs.len();
-                subs.retain(|s| s.id != id);
-                if subs.len() < before {
-                    self.live -= 1;
-                    return true;
-                }
+            let Some((&t, subs)) = shard
+                .subs
+                .iter_mut()
+                .find(|(_, subs)| subs.iter().any(|s| s.id == id))
+            else {
+                continue;
+            };
+            subs.retain(|s| s.id != id);
+            if subs.is_empty() {
+                shard.subs.remove(&t);
             }
+            self.live -= 1;
+            return true;
         }
         false
     }
@@ -222,6 +255,7 @@ impl SubscriptionTable {
     pub fn retain(&mut self, packet: ContextPacket) {
         let shard = self.shard_of(packet.cxt_type);
         if let Some(slot) = self.shards.get_mut(shard) {
+            self.expiry_floor = self.expiry_floor.min(packet.expires_at);
             slot.retained.insert(packet.cxt_type, packet);
         }
     }
@@ -240,11 +274,10 @@ impl SubscriptionTable {
     /// Matched one-shots are removed (their single answer is spent).
     pub fn on_arrival(&mut self, cxt_type: Sym, now: SimTime) -> Vec<Subscription> {
         let shard = self.shard_of(cxt_type);
-        let Some(subs) = self
-            .shards
-            .get_mut(shard)
-            .and_then(|s| s.subs.get_mut(&cxt_type))
-        else {
+        let Some(slot) = self.shards.get_mut(shard) else {
+            return Vec::new();
+        };
+        let Some(subs) = slot.subs.get_mut(&cxt_type) else {
             return Vec::new();
         };
         let mut matched = Vec::new();
@@ -264,6 +297,9 @@ impl SubscriptionTable {
                 SubMode::Periodic(_) => true,
             }
         });
+        if subs.is_empty() {
+            slot.subs.remove(&cxt_type);
+        }
         self.live -= matched.iter().filter(|s| s.mode == SubMode::OneShot).count();
         if !matched.is_empty() {
             obskit::count("broker_table_matched", matched.len() as u64);
@@ -278,6 +314,10 @@ impl SubscriptionTable {
     /// into delivery order, breaking the partition-invariance contract.
     pub fn periodic_due(&mut self, now: SimTime) -> Vec<Subscription> {
         let mut due = Vec::new();
+        if now < self.due_floor {
+            return due;
+        }
+        let mut floor = NEVER;
         for shard in &mut self.shards {
             for subs in shard.subs.values_mut() {
                 for s in subs.iter_mut() {
@@ -286,10 +326,12 @@ impl SubscriptionTable {
                             due.push(s.clone());
                             s.next_due = s.next_due + period;
                         }
+                        floor = floor.min(s.next_due);
                     }
                 }
             }
         }
+        self.due_floor = floor;
         due.sort_by_key(|s| s.id);
         if !due.is_empty() {
             obskit::count("broker_table_periodic_due", due.len() as u64);
@@ -301,17 +343,29 @@ impl SubscriptionTable {
     /// deterministically (shard index, then `BTreeMap` type order).
     pub fn sweep(&mut self, now: SimTime) -> SweepStats {
         let mut stats = SweepStats::default();
+        if now <= self.expiry_floor {
+            obskit::gauge("broker_table_live_subs", self.live as f64);
+            return stats;
+        }
+        let mut floor = NEVER;
         for shard in &mut self.shards {
             for subs in shard.subs.values_mut() {
                 let before = subs.len();
                 subs.retain(|s| now <= s.expires_at);
                 stats.subscriptions += before - subs.len();
+                for s in subs.iter() {
+                    floor = floor.min(s.expires_at);
+                }
             }
             shard.subs.retain(|_, v| !v.is_empty());
             let before = shard.retained.len();
             shard.retained.retain(|_, p| p.is_valid_at(now));
             stats.packets += before - shard.retained.len();
+            for p in shard.retained.values() {
+                floor = floor.min(p.expires_at);
+            }
         }
+        self.expiry_floor = floor;
         self.live -= stats.subscriptions;
         obskit::gauge("broker_table_live_subs", self.live as f64);
         stats
@@ -479,6 +533,103 @@ mod tests {
         let id = tab.subscribe(1, Sym(0), SubMode::Event, FOREVER, SimTime::ZERO);
         assert!(tab.unsubscribe(id));
         assert!(!tab.unsubscribe(id));
+        assert!(tab.is_empty());
+    }
+
+    #[test]
+    fn fresh_table_sweep_and_due_are_no_ops() {
+        let mut tab = SubscriptionTable::new(4);
+        assert_eq!(tab.sweep(SimTime::from_secs(5)), SweepStats::default());
+        assert!(tab.periodic_due(SimTime::from_secs(5)).is_empty());
+        assert!(tab.is_empty());
+        assert!(tab.live_entries().is_empty());
+    }
+
+    #[test]
+    fn lagging_periodic_catches_up_one_period_per_call() {
+        let mut tab = SubscriptionTable::new(2);
+        let period = SimDuration::from_secs(10);
+        let id = tab.subscribe(1, Sym(1), SubMode::Periodic(period), FOREVER, SimTime::ZERO);
+        // First due at t=10; at t=45 it is four periods behind.
+        let now = SimTime::from_secs(45);
+        for k in 1..=4u64 {
+            let due = tab.periodic_due(now);
+            assert_eq!(due.len(), 1, "call {k}");
+            assert_eq!(due[0].id, id);
+            assert_eq!(due[0].next_due, SimTime::from_secs(10 * k));
+            assert_eq!(tab.live_entries()[0].next_due, SimTime::from_secs(10 * (k + 1)));
+        }
+        // Caught up: next due at t=50.
+        assert!(tab.periodic_due(now).is_empty());
+        assert_eq!(tab.periodic_due(SimTime::from_secs(50)).len(), 1);
+    }
+
+    #[test]
+    fn sweep_keeps_a_subscription_through_its_expiry_instant() {
+        let mut tab = SubscriptionTable::new(1);
+        let expiry = SimTime::from_secs(7);
+        tab.subscribe(1, Sym(0), SubMode::Event, expiry, SimTime::ZERO);
+        assert_eq!(tab.sweep(expiry), SweepStats::default());
+        assert_eq!(tab.len(), 1);
+        let later = SimTime::from_micros(expiry.as_micros() + 1);
+        assert_eq!(tab.sweep(later), SweepStats { subscriptions: 1, packets: 0 });
+        assert!(tab.is_empty());
+    }
+
+    #[test]
+    fn renewal_past_the_floor_keeps_the_lease_until_its_new_expiry() {
+        let mut tab = SubscriptionTable::new(2);
+        tab.renew_or_subscribe(1, Sym(0), SubMode::Event, SimTime::from_secs(10), SimTime::ZERO);
+        tab.subscribe(2, Sym(1), SubMode::Event, SimTime::from_secs(30), SimTime::ZERO);
+        let (_, renewed) = tab.renew_or_subscribe(
+            1,
+            Sym(0),
+            SubMode::Event,
+            SimTime::from_secs(50),
+            SimTime::from_secs(5),
+        );
+        assert!(renewed);
+        // The stale floor (t=10) forces a scan that finds nothing…
+        assert_eq!(tab.sweep(SimTime::from_secs(20)), SweepStats::default());
+        // …and the recomputed floor (t=30) still catches the other lease.
+        assert_eq!(tab.sweep(SimTime::from_secs(31)), SweepStats { subscriptions: 1, packets: 0 });
+        assert_eq!(tab.sweep(SimTime::from_secs(50)), SweepStats::default());
+        assert_eq!(tab.sweep(SimTime::from_secs(51)), SweepStats { subscriptions: 1, packets: 0 });
+        assert!(tab.is_empty());
+    }
+
+    #[test]
+    fn expired_unswept_periodic_is_never_due() {
+        let mut tab = SubscriptionTable::new(1);
+        let period = SimDuration::from_secs(10);
+        tab.subscribe(1, Sym(0), SubMode::Periodic(period), SimTime::from_secs(25), SimTime::ZERO);
+        assert!(tab.periodic_due(SimTime::from_secs(30)).is_empty());
+        assert!(tab.periodic_due(SimTime::from_secs(40)).is_empty());
+        // Still registered until a sweep removes it.
+        assert_eq!(tab.len(), 1);
+        assert_eq!(tab.sweep(SimTime::from_secs(40)).subscriptions, 1);
+        assert!(tab.periodic_due(SimTime::from_secs(50)).is_empty());
+    }
+
+    #[test]
+    fn replaced_retained_packet_lives_to_its_own_expiry() {
+        let mut tab = SubscriptionTable::new(1);
+        tab.retain(pkt(Sym(3), 0, 10));
+        tab.retain(pkt(Sym(3), 5, 100));
+        assert_eq!(tab.sweep(SimTime::from_secs(20)), SweepStats::default());
+        assert!(tab.retained(Sym(3), SimTime::from_secs(20)).is_some());
+        assert_eq!(tab.sweep(SimTime::from_secs(106)), SweepStats { subscriptions: 0, packets: 1 });
+        assert!(tab.retained(Sym(3), SimTime::from_secs(20)).is_none());
+    }
+
+    #[test]
+    fn emptied_type_lists_are_dropped_without_a_sweep() {
+        let mut tab = SubscriptionTable::new(2);
+        let id = tab.subscribe(1, Sym(0), SubMode::Event, FOREVER, SimTime::ZERO);
+        tab.subscribe(2, Sym(1), SubMode::OneShot, FOREVER, SimTime::ZERO);
+        assert!(tab.unsubscribe(id));
+        assert_eq!(tab.on_arrival(Sym(1), SimTime::from_secs(1)).len(), 1);
+        assert!(tab.shards.iter().all(|s| s.subs.is_empty()));
         assert!(tab.is_empty());
     }
 }

@@ -1,13 +1,15 @@
 //! Cross-crate property-based tests (proptest): invariants of the query
 //! language, query merging, statistics, traces, the XML codec, NMEA,
 //! the event windows, the fault-injection/failover machinery, the
-//! partitioned engine's `(time, actor, seq)` merge, and the brokerd
-//! chaos layer (dedup idempotence, restart recovery, chaos-transcript
-//! partition invariance).
+//! partitioned engine's `(time, actor, seq)` merge, the brokerd
+//! subscription table against a full-scan reference model, and the
+//! brokerd chaos layer (dedup idempotence, restart recovery,
+//! chaos-transcript partition invariance).
 
 use brokerd::{
     fault_edges, link_faults, link_label, restart_edges, run_fleet, BrokerId, BrokerNode,
-    DedupWindow, FleetConfig, NodeConfig, PacketSeq, SubMode,
+    ContextPacket, DedupWindow, FleetConfig, NodeConfig, PacketSeq, SubId, SubMode,
+    Subscription, SubscriptionTable, SweepStats,
 };
 use contory::backoff::BackoffPolicy;
 use contory::merge::{post_extract, try_merge};
@@ -16,6 +18,7 @@ use contory::query::{
     AggFunc, CmpOp, CxtQuery, DurationClause, EventExpr, EventTerm, NumNodes, PredValue,
     QueryMode, Source, WherePredicate,
 };
+use contory::vocab::Sym;
 use contory::{CxtItem, CxtValue, EventWindow};
 use fuego::xml::XmlElement;
 use proptest::prelude::*;
@@ -293,6 +296,148 @@ fn chaos_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
     cfg.sub_lease = Some(SimDuration::from_secs(8));
     cfg.resub_every = Some(SimDuration::from_secs(4));
     cfg
+}
+
+/// The subscription table as a plain id-ordered `Vec`, every operation
+/// a full scan with the table's matching rules: the reference the
+/// sharded, floor-guarded [`SubscriptionTable`] must agree with.
+#[derive(Default)]
+struct RefTable {
+    subs: Vec<Subscription>,
+    retained: std::collections::BTreeMap<Sym, ContextPacket>,
+    next_id: u64,
+}
+
+impl RefTable {
+    fn subscribe(
+        &mut self,
+        subscriber: u64,
+        t: Sym,
+        mode: SubMode,
+        expires_at: SimTime,
+        now: SimTime,
+    ) -> SubId {
+        let id = SubId(self.next_id);
+        self.next_id += 1;
+        let next_due = match mode {
+            SubMode::Periodic(period) => now + period,
+            _ => now,
+        };
+        self.subs.push(Subscription {
+            id,
+            subscriber,
+            cxt_type: t,
+            mode,
+            expires_at,
+            next_due,
+        });
+        id
+    }
+
+    fn renew_or_subscribe(
+        &mut self,
+        subscriber: u64,
+        t: Sym,
+        mode: SubMode,
+        expires_at: SimTime,
+        now: SimTime,
+    ) -> (SubId, bool) {
+        let lease = self.subs.iter_mut().find(|s| {
+            s.cxt_type == t && s.subscriber == subscriber && s.mode == mode && now <= s.expires_at
+        });
+        if let Some(s) = lease {
+            s.expires_at = s.expires_at.max(expires_at);
+            return (s.id, true);
+        }
+        (self.subscribe(subscriber, t, mode, expires_at, now), false)
+    }
+
+    fn unsubscribe(&mut self, id: SubId) -> bool {
+        let before = self.subs.len();
+        self.subs.retain(|s| s.id != id);
+        self.subs.len() < before
+    }
+
+    fn on_arrival(&mut self, t: Sym, now: SimTime) -> Vec<Subscription> {
+        let mut matched = Vec::new();
+        self.subs.retain(|s| {
+            if s.cxt_type != t || now > s.expires_at {
+                return true;
+            }
+            match s.mode {
+                SubMode::Event => {
+                    matched.push(s.clone());
+                    true
+                }
+                SubMode::OneShot => {
+                    matched.push(s.clone());
+                    false
+                }
+                SubMode::Periodic(_) => true,
+            }
+        });
+        matched
+    }
+
+    fn periodic_due(&mut self, now: SimTime) -> Vec<Subscription> {
+        let mut due = Vec::new();
+        for s in &mut self.subs {
+            if let SubMode::Periodic(period) = s.mode {
+                if s.next_due <= now && now <= s.expires_at {
+                    due.push(s.clone());
+                    s.next_due = s.next_due + period;
+                }
+            }
+        }
+        due
+    }
+
+    fn sweep(&mut self, now: SimTime) -> SweepStats {
+        let (subs, packets) = (self.subs.len(), self.retained.len());
+        self.subs.retain(|s| now <= s.expires_at);
+        self.retained.retain(|_, p| p.is_valid_at(now));
+        SweepStats {
+            subscriptions: subs - self.subs.len(),
+            packets: packets - self.retained.len(),
+        }
+    }
+}
+
+/// Everything observable about a subscription, comparable.
+fn sub_key(s: &Subscription) -> (SubId, u64, Sym, SubMode, SimTime, SimTime) {
+    (s.id, s.subscriber, s.cxt_type, s.mode, s.expires_at, s.next_due)
+}
+
+fn sub_keys(subs: &[Subscription]) -> Vec<(SubId, u64, Sym, SubMode, SimTime, SimTime)> {
+    subs.iter().map(sub_key).collect()
+}
+
+/// Fails the case with `ctx` when the table and the model disagree.
+fn agree<T: PartialEq + std::fmt::Debug>(
+    got: T,
+    want: &T,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert!(got == *want, "{ctx}: table {got:?}, model {want:?}");
+    Ok(())
+}
+
+/// Context types the table property draws from.
+const TABLE_TYPES: u8 = 6;
+
+/// The table property's time grid: leases, periods and clock steps are
+/// multiples of it, so expiries and due times often coincide with `now`
+/// exactly.
+const TABLE_GRID: SimDuration = SimDuration::from_millis(250);
+
+/// One table operation: `(op, type, mode tag, grid steps, clock move,
+/// x)`. `x` is the lease and packet lifetime in grid steps, and picks
+/// the period, subscriber or unsubscribe target, depending on `op`.
+fn table_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, u64, u8, u64)>> {
+    proptest::collection::vec(
+        (0u8..8, 0..TABLE_TYPES, 0u8..3, 0u64..16, 0u8..4, 0u64..80),
+        1..120,
+    )
 }
 
 // ------------------------------------------------------------------
@@ -837,6 +982,103 @@ proptest! {
         }
         prop_assert_eq!(replayed.subscriptions(), pre_count);
         prop_assert_eq!(replayed.table_digest(), pre_digest);
+    }
+
+    /// The floor-guarded, sharded subscription table agrees exactly with
+    /// a full-scan reference model under any op sequence, with `now`
+    /// jumping back, creeping forward and leaping several periods:
+    /// returned subscriptions (`next_due` included), sweep counts,
+    /// `len`, `live_entries` and every type's retained packet.
+    #[test]
+    fn subscription_table_matches_full_scan_model(ops in table_ops()) {
+        let mut tables = [SubscriptionTable::new(1), SubscriptionTable::new(4)];
+        let mut model = RefTable::default();
+        let mut clock = SimTime::ZERO;
+        for (step, &(op, ty, tag, steps, clock_move, x)) in ops.iter().enumerate() {
+            // Back in time, a leap of up to 30 periods, a creep of at
+            // most one grid step, or one microsecond past the clock.
+            let now = match clock_move {
+                0 => clock - TABLE_GRID * steps,
+                1 => {
+                    clock += TABLE_GRID * (steps * 4);
+                    clock
+                }
+                2 => {
+                    clock += TABLE_GRID * (steps % 2);
+                    clock
+                }
+                _ => clock + SimDuration::from_micros(1),
+            };
+            let t = Sym(u16::from(ty));
+            let period = TABLE_GRID * (2 * (1 + x % 4));
+            let mode = match tag {
+                0 => SubMode::Event,
+                1 => SubMode::OneShot,
+                _ => SubMode::Periodic(period),
+            };
+            let lease = TABLE_GRID * x;
+            let expires_at = now + lease;
+            let ctx = format!("step {step} op {op} at {now:?}");
+            match op {
+                0 => {
+                    let want = model.subscribe(x % 4, t, mode, expires_at, now);
+                    for tab in &mut tables {
+                        let got = tab.subscribe(x % 4, t, mode, expires_at, now);
+                        agree(got, &want, &ctx)?;
+                    }
+                }
+                1 => {
+                    let want = model.renew_or_subscribe(x % 4, t, mode, expires_at, now);
+                    for tab in &mut tables {
+                        let got = tab.renew_or_subscribe(x % 4, t, mode, expires_at, now);
+                        agree(got, &want, &ctx)?;
+                    }
+                }
+                2 => {
+                    let id = SubId(x % (model.next_id + 1));
+                    let want = model.unsubscribe(id);
+                    for tab in &mut tables {
+                        agree(tab.unsubscribe(id), &want, &ctx)?;
+                    }
+                }
+                3 => {
+                    let mut p = ContextPacket::new("t", x as i64, now, lease, "src");
+                    p.cxt_type = t;
+                    model.retained.insert(t, p.clone());
+                    for tab in &mut tables {
+                        tab.retain(p.clone());
+                    }
+                }
+                4 | 5 => {
+                    let want = sub_keys(&model.on_arrival(t, now));
+                    for tab in &mut tables {
+                        agree(sub_keys(&tab.on_arrival(t, now)), &want, &ctx)?;
+                    }
+                }
+                6 => {
+                    let want = sub_keys(&model.periodic_due(now));
+                    for tab in &mut tables {
+                        agree(sub_keys(&tab.periodic_due(now)), &want, &ctx)?;
+                    }
+                }
+                _ => {
+                    let want = model.sweep(now);
+                    for tab in &mut tables {
+                        agree(tab.sweep(now), &want, &ctx)?;
+                    }
+                }
+            }
+            let live = sub_keys(&model.subs);
+            for tab in &tables {
+                agree(tab.len(), &model.subs.len(), &ctx)?;
+                agree(sub_keys(&tab.live_entries()), &live, &ctx)?;
+                for ty in 0..TABLE_TYPES {
+                    let t = Sym(u16::from(ty));
+                    let want = model.retained.get(&t).filter(|p| p.is_valid_at(now));
+                    agree(tab.retained(t, now), &want, &format!("{ctx} type {ty}"))?;
+                }
+            }
+        }
     }
 
     /// Chaos is partition-invariant: for any seed, the chaotic fleet's
