@@ -49,27 +49,6 @@ const CELL_TRACE_NODE: u64 = 0xCE11;
 /// ids disjoint from fleet-device and gossip roots.
 const CELL_TRACE_SALT: u64 = 0x0ce1_1b0c_5eed_0001;
 
-/// Mirrors a cell-side hop onto the obskit collector with the same
-/// label markers `BrokerNode` emits, so `TraceLog::from_obskit_jsonl`
-/// lifts cell publishes alongside broker hops.
-fn obs_cell_hop(ctx: TraceCtx, stage: Stage, span: u32, now: SimTime) {
-    if span == 0 || !obskit::enabled() {
-        return;
-    }
-    let phase = match stage {
-        Stage::Deliver => obskit::Phase::Deliver,
-        _ => obskit::Phase::Dispatch,
-    };
-    let label = format!(
-        "hop t={:016x} s={} n={CELL_TRACE_NODE} h={} sp={span} p={}",
-        ctx.trace_id,
-        stage.as_str(),
-        ctx.hop,
-        ctx.parent_span,
-    );
-    obskit::event(phase, &label, None, now);
-}
-
 /// Tunables of the federated cell reference.
 #[derive(Clone, Debug)]
 pub struct CellConfig {
@@ -160,8 +139,6 @@ impl Inner {
                 self.selected = Some(next);
                 if previous.is_some() {
                     self.reselects += 1;
-                    obskit::count("cell_failover", 1);
-                    obskit::event(obskit::Phase::Failover, "broker_reselect", None, now);
                     for entry in self.subs.values_mut() {
                         entry.attached = None;
                     }
@@ -384,13 +361,11 @@ impl CellReference for FederatedCell {
             let span = inner.trace.record(root, Stage::Publish, CELL_TRACE_NODE, now);
             if span != 0 {
                 packet = packet.with_trace(root.child(span));
-                obs_cell_hop(root, Stage::Publish, span, now);
             }
             let slot = inner
                 .brokers
                 .get_mut(&sel)
                 .ok_or_else(|| RefError::Unavailable("no live broker".into()))?;
-            obskit::count("cell_store", 1);
             slot.node
                 .publish(packet, now)
                 .map(|_| ())
@@ -413,7 +388,6 @@ impl CellReference for FederatedCell {
                 .brokers
                 .get(&sel)
                 .ok_or_else(|| RefError::Unavailable("no live broker".into()))?;
-            obskit::count("cell_fetch", 1);
             let packet = slot.node.fetch(&cxt_type, now).map_err(RefError::from)?;
             if let Some(f) = freshness {
                 if now.since(packet.published_at) > f {
@@ -444,7 +418,6 @@ impl CellReference for FederatedCell {
                 attached: None,
             },
         );
-        obskit::count("cell_subscribe", 1);
         inner.ensure_selection(now);
         InfraSubHandle(handle)
     }

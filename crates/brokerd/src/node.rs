@@ -220,39 +220,13 @@ impl BrokerNode {
         u64::from(self.id.0)
     }
 
-    /// Mirrors an active hop event onto the installed obskit collector
-    /// (single-threaded harnesses only; a no-op when no collector is
-    /// installed, i.e. on shard worker threads). The label carries the
-    /// tracekit markers [`TraceLog::from_obskit_jsonl`] lifts.
-    fn obs_hop(&self, ctx: TraceCtx, stage: Stage, span: u32, now: SimTime) {
-        if span == 0 || !obskit::enabled() {
-            return;
-        }
-        let phase = match stage {
-            Stage::Admit | Stage::Shed => obskit::Phase::Admission,
-            Stage::Federate | Stage::Gossip => obskit::Phase::Broker,
-            Stage::Deliver => obskit::Phase::Deliver,
-            _ => obskit::Phase::Dispatch,
-        };
-        let label = format!(
-            "hop t={:016x} s={} n={} h={} sp={span} p={}",
-            ctx.trace_id,
-            stage.as_str(),
-            self.trace_node(),
-            ctx.hop,
-            ctx.parent_span,
-        );
-        obskit::event(phase, &label, None, now);
-    }
-
     /// Records the terminal deliver hop for a packet this broker
     /// served. Harnesses call it at the moment a delivery actually
     /// lands (EVT frame written, `OnItems` callback fired), so the
     /// deliver span carries the landing time, not the dispatch time.
     pub fn note_delivery(&mut self, trace: TraceCtx, now: SimTime) {
         let node = self.trace_node();
-        let span = self.trace.record(trace, Stage::Deliver, node, now);
-        self.obs_hop(trace, Stage::Deliver, span, now);
+        self.trace.record(trace, Stage::Deliver, node, now);
     }
 
     /// Builds a metrics registry snapshot of this broker's counters and
@@ -333,7 +307,6 @@ impl BrokerNode {
         now: SimTime,
     ) -> SubId {
         let sym = self.interner.intern(type_name);
-        obskit::count("broker_subscribed", 1);
         self.table.subscribe(subscriber, sym, mode, expires_at, now)
     }
 
@@ -356,7 +329,6 @@ impl BrokerNode {
             .table
             .renew_or_subscribe(subscriber, sym, mode, expires_at, now);
         self.stats.resubscriptions += 1;
-        obskit::count("broker_resubscribed", 1);
         (id, renewed)
     }
 
@@ -375,15 +347,12 @@ impl BrokerNode {
         mut packet: ContextPacket,
         now: SimTime,
     ) -> Result<Admitted, BrokerError> {
-        let span = obskit::start(obskit::Phase::Admission, "publish", None, now);
         let outcome = self.admit(&mut packet, now);
         match &outcome {
             Ok(Admitted::Fresh) => {
                 self.stats.admission.admitted += 1;
-                obskit::count("broker_admitted", 1);
                 let node = self.trace_node();
                 let admit = self.trace.record(packet.trace, Stage::Admit, node, now);
-                self.obs_hop(packet.trace, Stage::Admit, admit, now);
                 let enq = self
                     .trace
                     .record(packet.trace.child(admit), Stage::Enqueue, node, now);
@@ -392,24 +361,19 @@ impl BrokerNode {
                 if enq != 0 {
                     packet.trace = packet.trace.child(enq);
                 }
-                obskit::gauge("broker_queue_depth", (self.inbox.len() + 1) as f64);
                 self.inbox.push_back(packet);
             }
             Ok(Admitted::Duplicate) => {
                 self.stats.dedup_suppressed += 1;
-                obskit::count("broker_dedup_suppressed", 1);
                 let node = self.trace_node();
-                let sp = self.trace.record(packet.trace, Stage::DupSuppress, node, now);
-                self.obs_hop(packet.trace, Stage::DupSuppress, sp, now);
+                self.trace.record(packet.trace, Stage::DupSuppress, node, now);
             }
             Err(e) => {
                 let node = self.trace_node();
-                let shed = self.trace.record(packet.trace, Stage::Shed, node, now);
-                self.obs_hop(packet.trace, Stage::Shed, shed, now);
+                self.trace.record(packet.trace, Stage::Shed, node, now);
                 self.note_refusal(e);
             }
         }
-        obskit::end(span, now);
         outcome
     }
 
@@ -444,26 +408,11 @@ impl BrokerNode {
 
     fn note_refusal(&mut self, e: &BrokerError) {
         match e {
-            BrokerError::QueueFull { .. } => {
-                self.stats.admission.shed += 1;
-                obskit::count("broker_shed", 1);
-            }
-            BrokerError::Unattributed => {
-                self.stats.admission.unattributed += 1;
-                obskit::count("broker_unattributed", 1);
-            }
-            BrokerError::ExpiredOnArrival => {
-                self.stats.admission.expired += 1;
-                obskit::count("broker_expired_on_arrival", 1);
-            }
-            BrokerError::SourceBlocked(_) => {
-                self.stats.admission.blocked += 1;
-                obskit::count("broker_source_blocked", 1);
-            }
-            BrokerError::RetryExhausted { .. } => {
-                self.stats.retry_exhausted += 1;
-                obskit::count("broker_retry_exhausted", 1);
-            }
+            BrokerError::QueueFull { .. } => self.stats.admission.shed += 1,
+            BrokerError::Unattributed => self.stats.admission.unattributed += 1,
+            BrokerError::ExpiredOnArrival => self.stats.admission.expired += 1,
+            BrokerError::SourceBlocked(_) => self.stats.admission.blocked += 1,
+            BrokerError::RetryExhausted { .. } => self.stats.retry_exhausted += 1,
             BrokerError::BrokerDown
             | BrokerError::PeerUnreachable(_)
             | BrokerError::NoSuchContext(_) => {}
@@ -476,7 +425,6 @@ impl BrokerNode {
     /// order × peer-id order).
     pub fn drain(&mut self, now: SimTime) -> Vec<Effect> {
         let mut effects = Vec::new();
-        let span = obskit::start(obskit::Phase::Dispatch, "drain", None, now);
         for _ in 0..self.cfg.drain_budget {
             let Some(mut packet) = self.inbox.pop_front() else {
                 break;
@@ -484,19 +432,15 @@ impl BrokerNode {
             if !packet.is_valid_at(now) {
                 // Died waiting in the queue; counted with sweep expiry.
                 self.stats.packets_expired += 1;
-                obskit::count("broker_expired_in_queue", 1);
                 continue;
             }
             let node = self.trace_node();
             let dispatch = self.trace.record(packet.trace, Stage::Dispatch, node, now);
-            self.obs_hop(packet.trace, Stage::Dispatch, dispatch, now);
             if dispatch != 0 {
                 packet.trace = packet.trace.child(dispatch);
             }
             self.fan_out(packet, now, &mut effects);
         }
-        obskit::gauge("broker_queue_depth", self.inbox.len() as f64);
-        obskit::end(span, now);
         effects
     }
 
@@ -504,7 +448,6 @@ impl BrokerNode {
         // Local matching first (event + one-shot subscribers).
         for sub in self.table.on_arrival(packet.cxt_type, now) {
             self.stats.delivered += 1;
-            obskit::count("broker_delivered", 1);
             effects.push(Effect::Deliver {
                 subscriber: sub.subscriber,
                 sub: sub.id,
@@ -518,14 +461,11 @@ impl BrokerNode {
             for peer in self.peers.brokers() {
                 if stamped.visited(peer) {
                     self.stats.loops_dropped += 1;
-                    obskit::count("broker_loops_dropped", 1);
                     continue;
                 }
                 self.stats.forwarded += 1;
-                obskit::count("broker_forwarded", 1);
                 let node = self.trace_node();
                 let fed = self.trace.record(stamped.trace, Stage::Federate, node, now);
-                self.obs_hop(stamped.trace, Stage::Federate, fed, now);
                 let mut forward = stamped.clone();
                 // The peer's admit hop parents under this federate hop,
                 // one federation hop further from the publisher.
@@ -547,7 +487,6 @@ impl BrokerNode {
                             next_retry: now + self.cfg.fwd_timeout,
                         },
                     );
-                    obskit::gauge("broker_pending_forwards", self.pending_fwds.len() as f64);
                     id
                 } else {
                     0
@@ -571,11 +510,7 @@ impl BrokerNode {
         if fwd_id == 0 {
             return false;
         }
-        let was = self.pending_fwds.remove(&fwd_id).is_some();
-        if was {
-            obskit::gauge("broker_pending_forwards", self.pending_fwds.len() as f64);
-        }
-        was
+        self.pending_fwds.remove(&fwd_id).is_some()
     }
 
     /// Tracked forwards currently awaiting an ack.
@@ -607,15 +542,12 @@ impl BrokerNode {
                 self.note_refusal(&BrokerError::RetryExhausted {
                     attempts: p.attempts_used,
                 });
-                obskit::gauge("broker_pending_forwards", self.pending_fwds.len() as f64);
                 continue;
             }
             p.attempts_used += 1;
             self.stats.retries += 1;
-            obskit::count("broker_fwd_retries", 1);
             let node = self.trace_node();
-            let sp = self.trace.record(p.packet.trace, Stage::Retry, node, now);
-            self.obs_hop(p.packet.trace, Stage::Retry, sp, now);
+            self.trace.record(p.packet.trace, Stage::Retry, node, now);
             let timeout_us = self.cfg.fwd_timeout.as_micros().max(1);
             let backoff = timeout_us << p.attempts_used.min(4);
             // Retry jitter from a stateless mixer: no RNG in the core.
@@ -641,7 +573,6 @@ impl BrokerNode {
                 continue;
             };
             self.stats.delivered += 1;
-            obskit::count("broker_delivered", 1);
             effects.push(Effect::Deliver {
                 subscriber: sub.subscriber,
                 sub: sub.id,
@@ -656,9 +587,6 @@ impl BrokerNode {
         let stats = self.table.sweep(now);
         self.stats.subs_expired += stats.subscriptions as u64;
         self.stats.packets_expired += stats.packets as u64;
-        if stats.subscriptions + stats.packets > 0 {
-            obskit::count("broker_swept", (stats.subscriptions + stats.packets) as u64);
-        }
         stats
     }
 
@@ -668,13 +596,11 @@ impl BrokerNode {
     /// of the schedule.
     pub fn gossip_digest(&mut self, now: SimTime) -> LoadDigest {
         self.stats.gossip_sent += 1;
-        obskit::count("broker_gossip_sent", 1);
         const GOSSIP_SALT: u64 = 0x6055_1bca_57a1_0000;
         let material = GOSSIP_SALT ^ (u64::from(self.id.0) << 44) ^ now.as_micros();
         let ctx = TraceCtx::root(material, self.cfg.trace_sample_log2);
         let node = self.trace_node();
         let span = self.trace.record(ctx, Stage::Gossip, node, now);
-        self.obs_hop(ctx, Stage::Gossip, span, now);
         LoadDigest {
             broker: self.id,
             queue_depth: self.inbox.len() as u64,
@@ -693,10 +619,8 @@ impl BrokerNode {
     pub fn hear_gossip(&mut self, digest: &LoadDigest, now: SimTime) {
         if digest.broker != self.id {
             self.stats.gossip_heard += 1;
-            obskit::count("broker_gossip_heard", 1);
             let node = self.trace_node();
-            let span = self.trace.record(digest.trace, Stage::Gossip, node, now);
-            self.obs_hop(digest.trace, Stage::Gossip, span, now);
+            self.trace.record(digest.trace, Stage::Gossip, node, now);
             self.peers.absorb(digest, now);
             let version = digest.at.as_micros();
             let slot = self.directory.entry(digest.broker).or_default();
@@ -707,7 +631,6 @@ impl BrokerNode {
                 slot.subscriptions = digest.subscriptions;
                 if changed {
                     self.stats.anti_entropy_rounds += 1;
-                    obskit::count("broker_anti_entropy", 1);
                 }
             }
         }
@@ -750,13 +673,11 @@ impl BrokerNode {
     /// load-bearing, so it is always sampled regardless of the
     /// configured packet sampling rate.
     pub fn note_recovery(&mut self, now: SimTime) {
-        obskit::count("broker_recovered", 1);
         const RECOVER_SALT: u64 = 0x7ec0_4e7a_11fe_0000;
         let material = RECOVER_SALT ^ (u64::from(self.id.0) << 44) ^ now.as_micros();
         let ctx = TraceCtx::root(material, 0);
         let node = self.trace_node();
-        let span = self.trace.record(ctx, Stage::Recover, node, now);
-        self.obs_hop(ctx, Stage::Recover, span, now);
+        self.trace.record(ctx, Stage::Recover, node, now);
     }
 
     /// On-demand lookup of the freshest retained context for a type

@@ -301,10 +301,6 @@ impl SubscriptionTable {
             slot.subs.remove(&cxt_type);
         }
         self.live -= matched.iter().filter(|s| s.mode == SubMode::OneShot).count();
-        if !matched.is_empty() {
-            obskit::count("broker_table_matched", matched.len() as u64);
-        }
-        obskit::gauge("broker_table_live_subs", self.live as f64);
         matched
     }
 
@@ -333,9 +329,6 @@ impl SubscriptionTable {
         }
         self.due_floor = floor;
         due.sort_by_key(|s| s.id);
-        if !due.is_empty() {
-            obskit::count("broker_table_periodic_due", due.len() as u64);
-        }
         due
     }
 
@@ -344,7 +337,6 @@ impl SubscriptionTable {
     pub fn sweep(&mut self, now: SimTime) -> SweepStats {
         let mut stats = SweepStats::default();
         if now <= self.expiry_floor {
-            obskit::gauge("broker_table_live_subs", self.live as f64);
             return stats;
         }
         let mut floor = NEVER;
@@ -367,7 +359,6 @@ impl SubscriptionTable {
         }
         self.expiry_floor = floor;
         self.live -= stats.subscriptions;
-        obskit::gauge("broker_table_live_subs", self.live as f64);
         stats
     }
 }

@@ -44,23 +44,35 @@ fn report_is_byte_identical_across_the_partition_matrix() {
 fn trace_export_is_byte_identical_across_partitions() {
     // Full sampling so the trace plane carries real traffic; the
     // canonical JSONL export (not just its digest) must be the same
-    // bytes for every partition of the engine.
+    // bytes for every partition of the engine. Each run also sits under
+    // a fresh obskit collector: the fleet's record is its own per-actor
+    // data, so whatever an ambient collector sees must not depend on
+    // which thread ran which actor either.
     let traced = |shards, threads| {
         let mut c = cfg(29, shards, threads, 4);
         c.node.trace_sample_log2 = 0;
-        run_fleet(&c)
+        let obs = obskit::Obs::new();
+        let outcome = {
+            let _guard = obskit::install(&obs);
+            run_fleet(&c)
+        };
+        (outcome, obs.metrics_snapshot(), obs.spans_jsonl())
     };
-    let reference = traced(1, 1);
+    let (reference, reference_metrics, reference_spans) = traced(1, 1);
     assert!(reference.trace_spans > 0, "full sampling recorded nothing");
     let reference_export = reference.trace.export_jsonl();
     for (shards, threads) in [(2u32, 2u32), (4, 4)] {
-        let got = traced(shards, threads);
+        let (got, metrics, spans) = traced(shards, threads);
         assert_eq!(
             got.trace.export_jsonl(),
             reference_export,
             "trace export diverged at shards={shards} threads={threads}"
         );
         assert_eq!(got.trace_digest, reference.trace_digest);
+        assert!(
+            metrics == reference_metrics && spans == reference_spans,
+            "ambient obskit record diverged at shards={shards} threads={threads}"
+        );
     }
 }
 

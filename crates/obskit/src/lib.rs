@@ -29,8 +29,15 @@
 //! functions ([`count`], [`gauge`], [`observe`], [`start`], [`end`],
 //! [`event`]), which record into the innermost [`install`]ed collector
 //! — and no-op when none is installed, so uninstrumented runs are
-//! byte-for-byte unchanged. The simulation is single-threaded, so a
-//! thread-local stack is both safe and deterministic.
+//! byte-for-byte unchanged. The collector stack is thread-local, which
+//! is safe and deterministic only in single-threaded harnesses (the
+//! classic `Sim` device stack and its scenarios). Code that runs inside
+//! `simkit::shard::ShardSim` handlers must not record here — on a shard
+//! worker thread nothing is installed, so the record would depend on
+//! the layout. It keeps per-actor plain data instead (brokerd's
+//! `NodeStats` and tracekit's `TraceLog`), which the harness folds in
+//! actor order; [`Registry`] and [`Histogram`] remain usable there as
+//! plain values.
 //!
 //! ```
 //! use obskit::{Obs, Phase};

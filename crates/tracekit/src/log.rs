@@ -7,7 +7,9 @@
 //! logs **in actor-id order** after the run. Each node's recording
 //! order is a pure function of the seed, so the folded stream — and
 //! its JSONL export, which additionally canonicalises the order — is
-//! byte-identical across shard and thread counts.
+//! byte-identical across shard and thread counts. It is the broker
+//! tier's only span record: nothing is mirrored onto obskit, and no
+//! obskit stream is lifted back into it.
 
 use crate::ctx::TraceCtx;
 use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
@@ -274,67 +276,6 @@ impl TraceLog {
         }
         Ok(log)
     }
-
-    /// Ingests obskit's span JSONL stream, lifting spans whose labels
-    /// carry tracekit markers into hop events. Labels follow the
-    /// convention the classic-sim instrumentation emits:
-    ///
-    /// ```text
-    /// <free text> t=<trace id, 16 hex> s=<stage> n=<node> h=<hop> [p=<parent span>]
-    /// ```
-    ///
-    /// Spans without a `t=` marker are not trace hops and are skipped;
-    /// the span/parent ids default to obskit's creation-order ids so
-    /// same-process trees assemble without explicit `p=` markers.
-    pub fn from_obskit_jsonl(text: &str) -> Result<TraceLog, TraceError> {
-        let mut log = TraceLog::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let bad = |detail: &str| TraceError::BadLine {
-                line: i + 1,
-                detail: detail.to_owned(),
-            };
-            let obj = Json::parse(line).map_err(|e| bad(&e))?;
-            let Some(label) = obj.get("label").and_then(Json::as_str) else {
-                continue;
-            };
-            let Some(trace_hex) = marker(label, "t=") else {
-                continue;
-            };
-            let trace_id =
-                u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad t= marker"))?;
-            let stage = marker(label, "s=")
-                .and_then(Stage::from_str)
-                .ok_or_else(|| bad("missing or unknown s= marker"))?;
-            let node = marker(label, "n=")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
-            let hop = marker(label, "h=")
-                .and_then(|v| v.parse::<u8>().ok())
-                .unwrap_or(0);
-            let span = match marker(label, "sp=") {
-                Some(v) => v.parse::<u32>().map_err(|_| bad("bad sp= marker"))?,
-                None => u64_field(&obj, "id").ok_or_else(|| bad("missing id"))? as u32,
-            };
-            let parent = match marker(label, "p=") {
-                Some(v) => v.parse::<u32>().map_err(|_| bad("bad p= marker"))?,
-                None => u64_field(&obj, "parent").unwrap_or(0) as u32,
-            };
-            let at_us = u64_field(&obj, "start_us").ok_or_else(|| bad("missing start_us"))?;
-            log.events.push(TraceEvent {
-                trace_id,
-                span,
-                parent,
-                stage,
-                node,
-                hop,
-                at: SimTime::from_micros(at_us),
-            });
-        }
-        Ok(log)
-    }
 }
 
 /// Why a JSONL stream could not be parsed.
@@ -367,16 +308,6 @@ impl std::error::Error for TraceError {}
 fn u64_field(obj: &Json, key: &str) -> Option<u64> {
     let v = obj.get(key)?.as_f64()?;
     (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
-}
-
-/// Extracts a whitespace-delimited `key=value` marker from a label.
-fn marker<'a>(label: &'a str, key: &str) -> Option<&'a str> {
-    for part in label.split_ascii_whitespace() {
-        if let Some(v) = part.strip_prefix(key) {
-            return Some(v);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -434,34 +365,5 @@ mod tests {
         let err = TraceLog::parse_jsonl("{\"trace\":\"zz\"}").unwrap_err();
         assert!(matches!(err, TraceError::BadLine { line: 1, .. }));
         assert!(TraceLog::parse_jsonl("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn obskit_labels_are_unescaped_before_marker_split() {
-        // obskit escapes a tab separator as `\t`; read raw, the markers
-        // would glue into one token and `s=` would never be found.
-        let jsonl = "{\"id\":4,\"parent\":null,\"phase\":\"broker\",\
-                     \"label\":\"store\\tt=00000000000000ab\\ts=admit\\tn=3\",\
-                     \"start_us\":10,\"end_us\":12}\n";
-        let log = TraceLog::from_obskit_jsonl(jsonl).unwrap();
-        assert_eq!(log.len(), 1);
-        let ev = log.events()[0];
-        assert_eq!((ev.trace_id, ev.stage, ev.node, ev.span), (0xab, Stage::Admit, 3, 4));
-    }
-
-    #[test]
-    fn obskit_stream_lifts_marked_labels() {
-        let jsonl = concat!(
-            "{\"id\":1,\"parent\":null,\"phase\":\"broker\",\"label\":\"store t=00000000000000ab s=admit n=3 h=0\",\"start_us\":10,\"end_us\":12}\n",
-            "{\"id\":2,\"parent\":1,\"phase\":\"dispatch\",\"label\":\"drain t=00000000000000ab s=dispatch n=3 h=0\",\"start_us\":20,\"end_us\":21}\n",
-            "{\"id\":3,\"parent\":null,\"phase\":\"connect\",\"label\":\"unrelated span\",\"start_us\":5,\"end_us\":6}\n",
-        );
-        let log = TraceLog::from_obskit_jsonl(jsonl).unwrap();
-        assert_eq!(log.len(), 2);
-        let evs = log.canonical_events();
-        assert_eq!(evs[0].stage, Stage::Admit);
-        assert_eq!(evs[0].node, 3);
-        assert_eq!(evs[1].parent, 1);
-        assert_eq!(evs[1].at, SimTime::from_micros(20));
     }
 }
