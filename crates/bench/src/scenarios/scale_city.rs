@@ -53,7 +53,8 @@ pub struct CityConfig {
     pub devices: u64,
     /// Physical shard count.
     pub shards: u32,
-    /// Worker threads (degrades to 1 without the `parallel` feature).
+    /// Worker threads stepping shards each round (at most `shards` are
+    /// used); never affects the outcome.
     pub threads: u32,
     /// Master seed.
     pub seed: u64,

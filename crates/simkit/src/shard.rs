@@ -49,6 +49,13 @@
 //! virtual latency so a time step can close before its messages land —
 //! the batching boundary of the merge.
 //!
+//! # Actor storage
+//!
+//! Actor ids are expected dense from 0. Each shard keeps its actors in a
+//! `Vec` of slots indexed by `id / shards`, so memory is O(max id /
+//! shards) per shard; an id in a gap of the numbering is an unknown
+//! actor.
+//!
 //! # Parallelism
 //!
 //! Shards are stepped by scoped OS threads; with `threads = 1` (or a
@@ -62,7 +69,7 @@ use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of a physical shard (a group of actors stepped together).
@@ -316,20 +323,39 @@ struct ActorSlot<A> {
 
 struct ShardState<A, E> {
     queue: BinaryHeap<Entry<E>>,
-    actors: BTreeMap<u64, ActorSlot<A>>,
+    /// Dense actor slots indexed by `actor.0 / shards`; `None` is an id
+    /// in the numbering that was never registered.
+    actors: Vec<Option<ActorSlot<A>>>,
+    /// This shard's output of the current round; the buffers keep their
+    /// capacity from round to round.
+    out: RoundOut<E>,
 }
 
 impl<A, E> ShardState<A, E> {
     fn new() -> Self {
         ShardState {
             queue: BinaryHeap::new(),
-            actors: BTreeMap::new(),
+            actors: Vec::new(),
+            out: RoundOut {
+                sends: Vec::new(),
+                emits: Vec::new(),
+                processed: 0,
+            },
         }
     }
 
     fn head_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|e| e.key.time)
     }
+}
+
+/// Where an actor lives: `(shard index, slot index)` =
+/// `(id % shards, id / shards)`. Slots are dense because callers number
+/// actors densely from 0.
+fn locate(actor: ActorId, shards: u64) -> Option<(usize, usize)> {
+    let shard = usize::try_from(actor.0 % shards).ok()?;
+    let local = usize::try_from(actor.0 / shards).ok()?;
+    Some((shard, local))
 }
 
 /// One buffered cross-actor message: ordered by `(sender key, index)`,
@@ -356,9 +382,9 @@ pub struct EventCtx<'a, E> {
     key: EventKey,
     rng: &'a mut DetRng,
     next_seq: &'a mut u64,
+    queue: &'a mut BinaryHeap<Entry<E>>,
     sends: &'a mut Vec<Outgoing<E>>,
     emits: &'a mut Vec<(EventKey, String)>,
-    local: Vec<Entry<E>>,
     send_index: u32,
 }
 
@@ -387,6 +413,10 @@ impl<'a, E> EventCtx<'a, E> {
     /// Schedules an event on *this* actor, `delay` from now (0 allowed:
     /// it runs later in the same time step, after all currently queued
     /// same-time events of this actor).
+    ///
+    /// The event goes straight into the shard's queue: its key is unique
+    /// and above the executing one, so it pops exactly where a push after
+    /// the handler returned would have put it.
     pub fn schedule_self(&mut self, delay: SimDuration, ev: E) {
         let key = EventKey {
             time: self.now + delay,
@@ -394,7 +424,7 @@ impl<'a, E> EventCtx<'a, E> {
             seq: *self.next_seq,
         };
         *self.next_seq += 1;
-        self.local.push(Entry { key, ev });
+        self.queue.push(Entry { key, ev });
     }
 
     /// Sends an event to another actor (or this one), batched at the
@@ -461,6 +491,10 @@ pub struct ShardSim<A, E, H> {
     cfg: ShardConfig,
     handler: H,
     shards: Vec<ShardState<A, E>>,
+    /// Registered actors (slots holding `Some`).
+    actor_count: u64,
+    /// The multi-shard barrier's merge buffer, kept between rounds.
+    merged: Vec<Outgoing<E>>,
     now: SimTime,
     processed: u64,
     messages: u64,
@@ -490,6 +524,8 @@ where
             },
             handler,
             shards: (0..shards).map(|_| ShardState::new()).collect(),
+            actor_count: 0,
+            merged: Vec::new(),
             now: SimTime::ZERO,
             processed: 0,
             messages: 0,
@@ -514,25 +550,37 @@ where
 
     /// Registers an actor. Its RNG stream derives from `(seed, actor)`
     /// only. Returns `false` (and changes nothing) if the id is taken.
+    ///
+    /// Ids are expected dense from 0: each shard keeps a slot for every
+    /// id up to the largest registered one, so memory is
+    /// O(max id / shards) per shard and gaps cost an empty slot each.
     pub fn add_actor(&mut self, actor: ActorId, state: A) -> bool {
-        let shard = self.shard_of(actor).0 as usize;
-        let rng = DetRng::for_actor(self.cfg.seed, actor);
-        match self.shards[shard].actors.entry(actor.0) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(ActorSlot {
+        let Some((shard, local)) = locate(actor, u64::from(self.cfg.shards)) else {
+            return false;
+        };
+        let Some(shard) = self.shards.get_mut(shard) else {
+            return false;
+        };
+        if shard.actors.len() <= local {
+            shard.actors.resize_with(local + 1, || None);
+        }
+        match shard.actors.get_mut(local) {
+            Some(slot) if slot.is_none() => {
+                *slot = Some(ActorSlot {
                     state,
-                    rng,
+                    rng: DetRng::for_actor(self.cfg.seed, actor),
                     next_seq: 0,
                 });
+                self.actor_count += 1;
                 true
             }
+            _ => false,
         }
     }
 
     /// Number of registered actors.
     pub fn actors(&self) -> u64 {
-        self.shards.iter().map(|s| s.actors.len() as u64).sum()
+        self.actor_count
     }
 
     /// Schedules an initial event on an actor at an absolute time (events
@@ -542,24 +590,36 @@ where
     /// Returns `Err` if the actor is unknown.
     pub fn schedule(&mut self, actor: ActorId, at: SimTime, ev: E) -> Result<(), ActorId> {
         let at = at.max(self.now);
-        let shard = self.shard_of(actor).0 as usize;
-        let Some(slot) = self.shards[shard].actors.get_mut(&actor.0) else {
-            return Err(actor);
+        self.enqueue(actor, at, ev).map_err(|_| actor)
+    }
+
+    /// Queues `ev` for `actor` at `time`, drawing the key's `seq` from
+    /// the actor's counter; hands `ev` back if the actor is unknown.
+    fn enqueue(&mut self, actor: ActorId, time: SimTime, ev: E) -> Result<(), E> {
+        let Some((shard, local)) = locate(actor, u64::from(self.cfg.shards)) else {
+            return Err(ev);
+        };
+        let Some(shard) = self.shards.get_mut(shard) else {
+            return Err(ev);
+        };
+        let Some(slot) = shard.actors.get_mut(local).and_then(Option::as_mut) else {
+            return Err(ev);
         };
         let key = EventKey {
-            time: at,
+            time,
             actor,
             seq: slot.next_seq,
         };
         slot.next_seq += 1;
-        self.shards[shard].queue.push(Entry { key, ev });
+        shard.queue.push(Entry { key, ev });
         Ok(())
     }
 
     /// Read access to an actor's state (e.g. for post-run assertions).
     pub fn actor_state(&self, actor: ActorId) -> Option<&A> {
-        let shard = self.shard_of(actor).0 as usize;
-        self.shards[shard].actors.get(&actor.0).map(|s| &s.state)
+        let (shard, local) = locate(actor, u64::from(self.cfg.shards))?;
+        let slot = self.shards.get(shard)?.actors.get(local)?.as_ref()?;
+        Some(&slot.state)
     }
 
     /// Current virtual time.
@@ -667,53 +727,63 @@ where
     fn round(&mut self, t: SimTime) {
         self.rounds += 1;
         let threads = self.effective_threads() as usize;
+        let stride = u64::from(self.cfg.shards);
         let handler = &self.handler;
-        let outs: Vec<RoundOut<E>> =
-            run_shards(&mut self.shards, threads, |shard| drain_step(shard, t, handler));
+        run_shards(&mut self.shards, threads, |shard| {
+            drain_step(shard, t, stride, handler)
+        });
 
         // ---- barrier: the deterministic cross-shard merge ----
         // Everything below is ordered by partition-independent keys, so
         // the merged result is identical for any shard/thread layout.
-        // Profile pass first (outs is consumed by the merge below).
         self.profile.rounds += 1;
         let mut batch_max = 0u64;
         let mut batch_min = u64::MAX;
-        for (i, out) in outs.iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let processed = shard.out.processed;
             if let Some(n) = self.profile.events_per_shard.get_mut(i) {
-                *n += out.processed;
+                *n += processed;
             }
-            self.profile.batch_events.record(out.processed);
-            batch_max = batch_max.max(out.processed);
-            batch_min = batch_min.min(out.processed);
+            self.profile.batch_events.record(processed);
+            batch_max = batch_max.max(processed);
+            batch_min = batch_min.min(processed);
+            self.processed += processed;
         }
-        if !outs.is_empty() {
+        if !self.shards.is_empty() {
             self.profile.barrier_imbalance.record(batch_max - batch_min);
         }
 
-        let mut sends: Vec<Outgoing<E>> = Vec::new();
+        // One shard hands over its own buffer; several append into the
+        // kept merge buffer. Either way the buffer goes back afterwards,
+        // so a steady run allocates nothing here.
+        let mut sends = match self.shards.as_mut_slice() {
+            [only] => std::mem::take(&mut only.out.sends),
+            shards => {
+                let mut merged = std::mem::take(&mut self.merged);
+                for shard in shards {
+                    merged.append(&mut shard.out.sends);
+                }
+                merged
+            }
+        };
         let mut emits: Vec<(EventKey, String)> = Vec::new();
-        for out in outs {
-            self.processed += out.processed;
-            sends.extend(out.sends);
-            emits.extend(out.emits);
+        for shard in &mut self.shards {
+            emits.append(&mut shard.out.emits);
         }
-        sends.sort_by_key(|m| (m.from_key, m.index));
+        // `(sender key, send index)` is unique, so an unstable sort is
+        // deterministic; equal emit keys keep their emission order.
+        sends.sort_unstable_by_key(|m| (m.from_key, m.index));
         emits.sort_by_key(|e| e.0);
 
-        for m in sends {
-            let shard = (m.dest.0 % u64::from(self.cfg.shards)) as usize;
-            let Some(slot) = self.shards[shard].actors.get_mut(&m.dest.0) else {
-                self.dead_letters += 1;
-                continue;
-            };
-            let key = EventKey {
-                time: m.at,
-                actor: m.dest,
-                seq: slot.next_seq,
-            };
-            slot.next_seq += 1;
-            self.messages += 1;
-            self.shards[shard].queue.push(Entry { key, ev: m.ev });
+        for m in sends.drain(..) {
+            match self.enqueue(m.dest, m.at, m.ev) {
+                Ok(()) => self.messages += 1,
+                Err(_) => self.dead_letters += 1,
+            }
+        }
+        match self.shards.as_mut_slice() {
+            [only] => only.out.sends = sends,
+            _ => self.merged = sends,
         }
 
         // Queue peaks after the merge landed its deliveries.
@@ -737,80 +807,62 @@ where
     }
 }
 
-/// Drains one shard's events due exactly at `t`, in key order.
-fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, t: SimTime, handler: &H) -> RoundOut<E>
+/// Drains one shard's events due exactly at `t`, in key order, into the
+/// shard's round buffers.
+fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, t: SimTime, stride: u64, handler: &H)
 where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E),
 {
-    let mut out = RoundOut {
-        sends: Vec::new(),
-        emits: Vec::new(),
-        processed: 0,
-    };
-    while shard.head_time() == Some(t) {
-        let entry = match shard.queue.pop() {
-            Some(e) => e,
-            None => break, // unreachable: head_time just said non-empty
-        };
-        let Some(slot) = shard.actors.get_mut(&entry.key.actor.0) else {
-            // Actor vanished between scheduling and firing — only
-            // possible for externally scheduled plans; count as a dead
-            // letter equivalent by dropping (callers observe counts).
-            continue;
-        };
+    let ShardState { queue, actors, out } = shard;
+    out.processed = 0;
+    while queue.peek().is_some_and(|e| e.key.time == t) {
+        let Some(entry) = queue.pop() else { break };
+        let slot = locate(entry.key.actor, stride)
+            .and_then(|(_, local)| actors.get_mut(local))
+            .and_then(Option::as_mut);
+        // Events are only queued for registered actors and slots are
+        // never emptied, so the slot is always there.
+        let Some(slot) = slot else { continue };
         let mut ctx = EventCtx {
             now: t,
             key: entry.key,
             rng: &mut slot.rng,
             next_seq: &mut slot.next_seq,
+            queue,
             sends: &mut out.sends,
             emits: &mut out.emits,
-            local: Vec::new(),
             send_index: 0,
         };
         handler(&mut slot.state, &mut ctx, entry.ev);
-        let local = std::mem::take(&mut ctx.local);
-        for e in local {
-            debug_assert!(e.key.time >= t, "self-schedule went backwards");
-            shard.queue.push(e);
-        }
         out.processed += 1;
     }
-    out
 }
 
 /// Steps every shard through `f`, sequentially or on `threads` scoped
-/// workers over contiguous chunks; results are returned in shard index
-/// order either way.
-fn run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
+/// workers over contiguous chunks.
+fn run_shards<A, E, F>(shards: &mut [ShardState<A, E>], threads: usize, f: F)
 where
     A: Send,
     E: Send,
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E> + Sync,
+    F: Fn(&mut ShardState<A, E>) + Sync,
 {
     if threads <= 1 || shards.len() <= 1 {
-        return shards.iter_mut().map(f).collect();
+        shards.iter_mut().for_each(f);
+        return;
     }
     let chunk = shards.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .chunks_mut(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<_>>()))
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().for_each(f)))
             .collect();
-        let mut outs = Vec::new();
         for h in handles {
-            match h.join() {
-                Ok(part) => outs.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        outs
-    })
+    });
 }
 
 #[cfg(test)]
@@ -1029,6 +1081,153 @@ mod tests {
             |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
         );
         assert_eq!(sim.schedule(ActorId(7), SimTime::ZERO, 1), Err(ActorId(7)));
+    }
+
+    /// Ids with gaps, registered out of order: a ring over `ids` in
+    /// list order.
+    fn gapped_run(ids: &[u64], shards: u32, threads: u32) -> (u64, Vec<String>, u64, u64) {
+        let ring: Vec<u64> = ids.to_vec();
+        let cfg = ShardConfig {
+            seed: 9,
+            shards,
+            threads,
+            record_transcript: true,
+        };
+        let mut sim = ShardSim::new(cfg, move |count: &mut u64, ctx: &mut EventCtx<'_, u32>, hop| {
+            *count += 1;
+            let draw = ctx.rng().next_u64() & 0xff;
+            ctx.emit(format!("hop={hop} draw={draw}"));
+            let at = ring.iter().position(|&a| a == ctx.actor().0).unwrap_or(0);
+            let next = ring.get((at + 1) % ring.len()).copied().unwrap_or(0);
+            if hop > 0 {
+                ctx.send(ActorId(next), SimDuration::from_millis(2), hop - 1);
+                ctx.schedule_self(SimDuration::from_millis(5), 0);
+            }
+        });
+        let mut order = ids.to_vec();
+        order.reverse();
+        order.rotate_left(3);
+        for &a in &order {
+            assert!(sim.add_actor(ActorId(a), 0u64));
+        }
+        for &a in ids {
+            sim.schedule(ActorId(a), SimTime::from_millis(a % 4), 4).unwrap();
+        }
+        sim.run_until_idle();
+        (
+            sim.digest(),
+            sim.transcript().to_vec(),
+            sim.events_processed(),
+            sim.messages_delivered(),
+        )
+    }
+
+    #[test]
+    fn gapped_out_of_order_ids_are_layout_invariant() {
+        let ids = [17u64, 3, 40, 0, 9, 25, 12, 33, 1];
+        let reference = gapped_run(&ids, 1, 1);
+        assert_eq!(reference.2, 9 * 9, "every chain runs 5 hops + 4 self-ticks");
+        for (shards, threads) in [(4u32, 2u32), (16, ShardConfig::max_threads())] {
+            let got = gapped_run(&ids, shards, threads);
+            assert_eq!(got, reference, "diverged at {shards}x{threads}");
+        }
+    }
+
+    #[test]
+    fn gap_ids_are_unknown_actors() {
+        let mut sim = ShardSim::new(
+            ShardConfig {
+                shards: 4,
+                ..ShardConfig::sequential(0)
+            },
+            |_: &mut u8, ctx: &mut EventCtx<'_, u64>, dest| {
+                ctx.send(ActorId(dest), SimDuration::from_millis(1), 0);
+            },
+        );
+        for a in [0u64, 2, 10, 13] {
+            assert!(sim.add_actor(ActorId(a), 1));
+        }
+        // 1, 5 and 6 sit below a registered id of their shard, 3's shard
+        // holds no actor, and 1 << 40 is past every slot.
+        for gap in [1u64, 5, 6, 3, 1 << 40] {
+            assert_eq!(sim.actor_state(ActorId(gap)), None, "state of {gap}");
+            assert_eq!(
+                sim.schedule(ActorId(gap), SimTime::ZERO, 0),
+                Err(ActorId(gap)),
+                "schedule on {gap}"
+            );
+        }
+        sim.schedule(ActorId(10), SimTime::ZERO, 6).unwrap();
+        sim.schedule(ActorId(2), SimTime::ZERO, 1).unwrap();
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.dead_letters(), 2);
+        assert_eq!(sim.messages_delivered(), 0);
+        assert_eq!(sim.actors(), 4);
+    }
+
+    #[test]
+    fn actor_count_tracks_registered_slots_only() {
+        let mut sim = ShardSim::new(
+            ShardConfig {
+                shards: 3,
+                ..ShardConfig::sequential(0)
+            },
+            |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
+        );
+        assert_eq!(sim.actors(), 0);
+        assert!(sim.add_actor(ActorId(30), 0));
+        assert_eq!(sim.actors(), 1, "slots opened below id 30 are not actors");
+        assert!(sim.add_actor(ActorId(0), 0));
+        assert!(!sim.add_actor(ActorId(30), 1));
+        assert!(sim.add_actor(ActorId(4), 0));
+        assert_eq!(sim.actors(), 3);
+        assert_eq!(sim.actor_state(ActorId(30)), Some(&0));
+    }
+
+    #[test]
+    fn concurrent_zero_delay_self_schedules_keep_key_order() {
+        let run = |shards: u32, threads: u32| {
+            let cfg = ShardConfig {
+                seed: 4,
+                shards,
+                threads,
+                record_transcript: true,
+            };
+            let mut sim = ShardSim::new(cfg, |n: &mut u32, ctx: &mut EventCtx<'_, u32>, ev| {
+                *n += 1;
+                let k = ctx.key();
+                ctx.emit(format!("{} {} {}", k.time.as_micros(), k.actor.0, k.seq));
+                if ev > 0 {
+                    ctx.schedule_self(SimDuration::ZERO, ev - 1);
+                    ctx.schedule_self(SimDuration::ZERO, 0);
+                }
+            });
+            for a in (0..6).rev() {
+                sim.add_actor(ActorId(a), 0u32);
+            }
+            for a in 0..6 {
+                sim.schedule(ActorId(a), SimTime::from_secs(1), 3).unwrap();
+            }
+            sim.run_until_idle();
+            assert_eq!(sim.rounds(), 1, "zero-delay self-schedules stay in the round");
+            sim.transcript().to_vec()
+        };
+        let lines = run(1, 1);
+        // 3 → 2 → 1 → 0 plus one extra 0 per non-zero step: 7 per actor.
+        assert_eq!(lines.len(), 6 * 7);
+        let keys: Vec<(u64, u64, u64)> = lines
+            .iter()
+            .map(|l| {
+                let mut f = l.rsplit(' ').map(|x| x.parse::<u64>().unwrap());
+                let seq = f.next().unwrap();
+                let actor = f.next().unwrap();
+                (f.next().unwrap(), actor, seq)
+            })
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "out of key order: {keys:?}");
+        for (shards, threads) in [(4, 2), (16, ShardConfig::max_threads())] {
+            assert_eq!(run(shards, threads), lines, "diverged at {shards}x{threads}");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 # 5. the shard gate: the partition-invariance suite — the scale_city
 #    outcome on the partitioned engine must be byte-identical across
 #    shard counts {1, 4, 16} and thread counts {1, max, 64}
-#    (DESIGN.md §5f);
+#    (DESIGN.md §5f), and the engine's steady state must allocate per
+#    round, never per event (crates/simkit/tests/engine_alloc.rs);
 # 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
 # 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
@@ -68,6 +69,7 @@ cargo test -q --test proptests
 
 echo "==> shard gate (partition/thread invariance, DESIGN.md 5f)"
 cargo test -q --test shard_determinism
+cargo test -q -p contory-simkit --test engine_alloc
 
 echo "==> Fig. 5 failover bench (recovery SLO)"
 cargo run -q --release -p contory-bench --bin fig5_failover
